@@ -93,13 +93,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 @contextmanager
-def _destination(path: str | None):
+def _destination(path: str | None, parser):
     if path is None:
         yield sys.stdout
         sys.stdout.flush()
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        parser.error(f"cannot open --output {path!r}: {exc.strerror}")
+    with fh:
+        yield fh
 
 
 def _json_dump(obj, fh):
@@ -113,7 +117,7 @@ def _cmd_table(args, parser) -> int:
     if args.n_max < 0:
         parser.error(f"--n-max must be >= 0, got {args.n_max}")
     rows = stirling.triangle_rows(args.family, args.s, args.n_max)
-    with _destination(args.output) as fh:
+    with _destination(args.output, parser) as fh:
         if args.format == "text":
             for row in rows:
                 fh.write(" ".join(str(v) for v in row) + "\n")
@@ -161,7 +165,7 @@ def _cmd_eval(args, parser) -> int:
     params = {"function": args.function, "n": n, "k": args.k, "s": args.s}
     if args.function == "Ml":
         params["ell"] = args.ell
-    with _destination(args.output) as fh:
+    with _destination(args.output, parser) as fh:
         if point is None:
             if args.format == "text":
                 fh.write(str(poly) + "\n")
@@ -242,7 +246,7 @@ def _cmd_enumerate(args, parser) -> int:
         if getattr(args, key) is not None
     }
     count = 0
-    with _destination(args.output) as fh:
+    with _destination(args.output, parser) as fh:
         try:
             if args.format == "text":
                 for obj in gen:
@@ -290,7 +294,7 @@ def _cmd_verify(args, parser) -> int:
     )
     if args.seed_check:
         reports = identities.mutation_selftest()
-        with _destination(args.output) as fh:
+        with _destination(args.output, parser) as fh:
             _json_dump([r.to_json_obj() for r in reports], fh)
         return 0 if all(r.failed for r in reports) else 1
     try:
@@ -302,7 +306,7 @@ def _cmd_verify(args, parser) -> int:
             payload = reports[0].to_json_obj()
     except ValueError as exc:
         parser.error(str(exc))
-    with _destination(args.output) as fh:
+    with _destination(args.output, parser) as fh:
         _json_dump(payload, fh)
     return 1 if any(r.failed for r in reports) else 0
 

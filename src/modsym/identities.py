@@ -21,16 +21,13 @@ recorded in the report's ``errata`` field; it is never asserted.
 each perturbation must produce at least one failure, guarding the suite
 against vacuous passes.
 
-Grid cells are independent pure computations.  The environment variable
-MODSYM_THREADS caps worker parallelism (default: machine parallelism);
-reports are assembled in grid order regardless of completion order.
+Grid cells are independent pure computations.  They run one after another
+in grid order and share one memo of library calls per verify call.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, gcd
 
@@ -175,86 +172,20 @@ class IdentityInfo:
 
 
 class _Ctx:
+    """Memo of library calls: one dict keyed by (function, arguments).
+
+    Call sites pass the function by its module-level name, looked up at call
+    time, so a rebinding of that name (as by a tracer) is seen here too.
+    """
+
     def __init__(self):
-        self._m: dict = {}
-        self._conv: dict = {}
-        self._h: dict = {}
-        self._e: dict = {}
-        self._E: dict = {}
-        self._hpow: dict = {}
-        self._series: dict = {}
-        self._gf: dict = {}
-        self._s2spec: dict = {}
-        self._omega: dict = {}
+        self._memo: dict = {}
 
-    def M(self, n: int, k: int, s: int) -> Polynomial:
-        key = (n, k, s)
-        v = self._m.get(key)
+    def __call__(self, fn: Callable, *args):
+        key = (fn, args)
+        v = self._memo.get(key)
         if v is None:
-            v = self._m[key] = modular_sym(n, k, s, "enumeration")
-        return v
-
-    def M_conv(self, n: int, k: int, s: int) -> Polynomial:
-        key = (n, k, s)
-        v = self._conv.get(key)
-        if v is None:
-            v = self._conv[key] = modular_sym(n, k, s, "convolution")
-        return v
-
-    def h(self, n: int, k: int) -> Polynomial:
-        key = (n, k)
-        v = self._h.get(key)
-        if v is None:
-            v = self._h[key] = comp_sym(n, k)
-        return v
-
-    def e(self, n: int, k: int) -> Polynomial:
-        key = (n, k)
-        v = self._e.get(key)
-        if v is None:
-            v = self._e[key] = elem_sym(n, k)
-        return v
-
-    def E(self, n: int, k: int, s: int) -> Polynomial:
-        key = (n, k, s)
-        v = self._E.get(key)
-        if v is None:
-            v = self._E[key] = bounded_elem_sym(n, k, s)
-        return v
-
-    def h_at_powers(self, n: int, j: int, s: int) -> int:
-        key = (n, j, s)
-        v = self._hpow.get(key)
-        if v is None:
-            v = self._hpow[key] = h_at_powered_points(n, j, s)
-        return v
-
-    def series(self, n: int, s: int, bound: int):
-        key = (n, s, bound)
-        v = self._series.get(key)
-        if v is None:
-            v = self._series[key] = modular_series(n, s, bound)
-        return v
-
-    def gf(self, k: int, s: int, bound: int) -> list[int]:
-        key = (k, s, bound)
-        v = self._gf.get(key)
-        if v is None:
-            v = self._gf[key] = stirling2_mod_series(k, s, bound)
-        return v
-
-    def s2spec(self, n: int, k: int, s: int) -> int:
-        key = (n, k, s)
-        v = self._s2spec.get(key)
-        if v is None:
-            v = self._s2spec[key] = stirling2_mod(n, k, s, "specialization")
-        return v
-
-    def omega(self, n: int, s: int) -> Polynomial:
-        key = (n, s)
-        v = self._omega.get(key)
-        if v is None:
-            v = self._omega[key] = omega_poly(n, s)
+            v = self._memo[key] = fn(*args)
         return v
 
 
@@ -348,8 +279,8 @@ class _Skip(Exception):
 
 def _check_gf_m(ctx: _Ctx, p: dict, r: Ranges):
     bound = r.k_max if r.k_max is not None else 6
-    lhs = ctx.series(p["n"], p["s"], bound).coefficient(p["k"])
-    rhs = ctx.M(p["n"], p["k"], p["s"])
+    lhs = ctx(modular_series, p["n"], p["s"], bound).coefficient(p["k"])
+    rhs = ctx(modular_sym, p["n"], p["k"], p["s"])
     return lhs == rhs, str(lhs), str(rhs)
 
 
@@ -357,8 +288,8 @@ def _check_rec3(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
     rhs = Polynomial.zero()
     for j in _residue_parts(k, s, 1):
-        rhs = rhs + ctx.M(n - 1, k - j, s).mul_power(n, j)
-    lhs = ctx.M(n, k, s)
+        rhs = rhs + ctx(modular_sym, n - 1, k - j, s).mul_power(n, j)
+    lhs = ctx(modular_sym, n, k, s)
     return lhs == rhs, str(lhs), str(rhs)
 
 
@@ -367,11 +298,11 @@ def _check_rec4(ctx: _Ctx, p: dict, r: Ranges):
     if k < s + 1:
         raise _Skip("requires k >= s+1")
     rhs = (
-        ctx.M(n, k - s - 1, s).mul_power(n, s + 1)
-        + ctx.M(n - 1, k - 1, s).mul_power(n, 1)
-        + ctx.M(n - 1, k, s)
+        ctx(modular_sym, n, k - s - 1, s).mul_power(n, s + 1)
+        + ctx(modular_sym, n - 1, k - 1, s).mul_power(n, 1)
+        + ctx(modular_sym, n - 1, k, s)
     )
-    lhs = ctx.M(n, k, s)
+    lhs = ctx(modular_sym, n, k, s)
     return lhs == rhs, str(lhs), str(rhs)
 
 
@@ -382,28 +313,22 @@ def _weight_sum(objects) -> Polynomial:
     return total
 
 
-def _check_paths(ctx: _Ctx, p: dict, r: Ranges):
-    lhs = _weight_sum(gen_lattice_paths(p["n"], p["k"], p["s"]))
-    rhs = ctx.M(p["n"], p["k"], p["s"])
-    return lhs == rhs, str(lhs), str(rhs)
-
-
-def _check_tilings(ctx: _Ctx, p: dict, r: Ranges):
-    lhs = _weight_sum(gen_tilings(p["n"], p["k"], p["s"]))
-    rhs = ctx.M(p["n"], p["k"], p["s"])
+def _check_weight_sum(gen: Callable, ctx: _Ctx, p: dict):
+    lhs = _weight_sum(gen(p["n"], p["k"], p["s"]))
+    rhs = ctx(modular_sym, p["n"], p["k"], p["s"])
     return lhs == rhs, str(lhs), str(rhs)
 
 
 def _check_allones(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
     lhs = modular_all_ones(n, k, s)
-    rhs = poly_eval_int(ctx.M(n, k, s), (1,) * n)
+    rhs = poly_eval_int(ctx(modular_sym, n, k, s), (1,) * n)
     return lhs == rhs, str(lhs), str(rhs)
 
 
 def _check_s2mod_spec(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
-    lhs = ctx.s2spec(n, k, s)
+    lhs = ctx(stirling2_mod, n, k, s, "specialization")
     rhs = stirling2_mod(n, k, s, "recurrence")
     return lhs == rhs, str(lhs), str(rhs)
 
@@ -411,14 +336,14 @@ def _check_s2mod_spec(ctx: _Ctx, p: dict, r: Ranges):
 def _s2spec_or_zero(ctx: _Ctx, n: int, k: int, s: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
-    return ctx.s2spec(n, k, s)
+    return ctx(stirling2_mod, n, k, s, "specialization")
 
 
 def _check_s2mod_rec(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
     if n - k < s + 1:
         raise _Skip("requires n-k >= s+1")
-    lhs = ctx.s2spec(n, k, s)
+    lhs = ctx(stirling2_mod, n, k, s, "specialization")
     rhs = (
         _s2spec_or_zero(ctx, n - 1, k - 1, s)
         + k * _s2spec_or_zero(ctx, n - 2, k - 1, s)
@@ -437,7 +362,7 @@ def _grid_s2mod_gf(r: Ranges) -> Iterator[dict]:
 def _check_s2mod_gf(ctx: _Ctx, p: dict, r: Ranges):
     k, s, m = p["k"], p["s"], p["m"]
     bound = r.n_max if r.n_max is not None else 8
-    lhs = ctx.gf(k, s, bound)[m]
+    lhs = ctx(stirling2_mod_series, k, s, bound)[m]
     rhs = stirling2_mod(k + m, k, s, "recurrence")
     return lhs == rhs, str(lhs), str(rhs)
 
@@ -454,7 +379,7 @@ def _check_part_zero(ctx: _Ctx, p: dict, r: Ranges):
     if (n - k) % (s + 1):
         raise _Skip("requires s+1 to divide n-k")
     lhs = count_partitions_zeromod(n, k, s)
-    rhs = ctx.h_at_powers(k, (n - k) // (s + 1), s)
+    rhs = ctx(h_at_powered_points, k, (n - k) // (s + 1), s)
     return lhs == rhs, str(lhs), str(rhs)
 
 
@@ -507,41 +432,59 @@ def _check_lmod(ctx: _Ctx, p: dict, r: Ranges):
     return lhs == rhs, str(lhs), str(rhs)
 
 
+def _alternating_sum(terms: Iterable[Polynomial]) -> Polynomial:
+    total = Polynomial.zero()
+    for j, term in enumerate(terms):
+        total = total + (-term if j % 2 else term)
+    return total
+
+
 def _check_evanish(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
     if s % 2 == 0:
         raise _Skip("requires odd s")
-    total = Polynomial.zero()
-    for i in range(k + 1):
-        term = ctx.E(n, i, s) * ctx.M(n, k - i, s)
-        total = total + (-term if i % 2 else term)
+    total = _alternating_sum(
+        ctx(bounded_elem_sym, n, i, s) * ctx(modular_sym, n, k - i, s)
+        for i in range(k + 1)
+    )
     return total.is_zero, str(total), "0"
 
 
 def _check_conv_he(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
-    lhs = ctx.M(n, k, s)
-    rhs = ctx.M_conv(n, k, s)
+    lhs = ctx(modular_sym, n, k, s)
+    rhs = ctx(modular_sym, n, k, s, "convolution")
     return lhs == rhs, str(lhs), str(rhs)
+
+
+def _inv_h_rhs(ctx: _Ctx, n: int, k: int, s: int) -> Polynomial:
+    # sum_j (-1)^j h_j M_{k(s+1)-j}^(s)
+    return _alternating_sum(
+        ctx(comp_sym, n, j) * ctx(modular_sym, n, k * (s + 1) - j, s)
+        for j in range(k * (s + 1) + 1)
+    )
 
 
 def _check_inv_h(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
-    lhs = ctx.h(n, k).substitute_power(s + 1)
-    rhs = Polynomial.zero()
-    for j in range(k * (s + 1) + 1):
-        term = ctx.h(n, j) * ctx.M(n, k * (s + 1) - j, s)
-        rhs = rhs + (-term if j % 2 else term)
+    lhs = ctx(comp_sym, n, k).substitute_power(s + 1)
+    rhs = _inv_h_rhs(ctx, n, k, s)
     return lhs == rhs, str(lhs), str(rhs)
+
+
+def _inv_e_rhs(ctx: _Ctx, n: int, k: int, s: int, e_power: int) -> Polynomial:
+    # sum_j (-1)^j e_j(x^e_power) M_{k-j(s+1)}^(s); the identity has e_power = s+1
+    return _alternating_sum(
+        ctx(elem_sym, n, j).substitute_power(e_power)
+        * ctx(modular_sym, n, k - j * (s + 1), s)
+        for j in range(k // (s + 1) + 1)
+    )
 
 
 def _check_inv_e(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
-    lhs = ctx.e(n, k)
-    rhs = Polynomial.zero()
-    for j in range(k // (s + 1) + 1):
-        term = ctx.e(n, j).substitute_power(s + 1) * ctx.M(n, k - j * (s + 1), s)
-        rhs = rhs + (-term if j % 2 else term)
+    lhs = ctx(elem_sym, n, k)
+    rhs = _inv_e_rhs(ctx, n, k, s, s + 1)
     return lhs == rhs, str(lhs), str(rhs)
 
 
@@ -549,10 +492,9 @@ def _check_inv_zero(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
     if k % (s + 1) == 0:
         raise _Skip("requires k not divisible by s+1")
-    total = Polynomial.zero()
-    for j in range(k + 1):
-        term = ctx.h(n, j) * ctx.M(n, k - j, s)
-        total = total + (-term if j % 2 else term)
+    total = _alternating_sum(
+        ctx(comp_sym, n, j) * ctx(modular_sym, n, k - j, s) for j in range(k + 1)
+    )
     return total.is_zero, str(total), "0"
 
 
@@ -561,8 +503,8 @@ def _check_eh_me(ctx: _Ctx, p: dict, r: Ranges):
     lhs = Polynomial.zero()
     rhs = Polynomial.zero()
     for j in range(k + 1):
-        lhs = lhs + ctx.e(n, j) * ctx.h(n, k - j)
-        rhs = rhs + ctx.M(n, j, s) * ctx.E(n, k - j, s)
+        lhs = lhs + ctx(elem_sym, n, j) * ctx(comp_sym, n, k - j)
+        rhs = rhs + ctx(modular_sym, n, j, s) * ctx(bounded_elem_sym, n, k - j, s)
     return lhs == rhs, str(lhs), str(rhs)
 
 
@@ -590,8 +532,10 @@ def _scaled_reciprocal_eval(E_poly: Polynomial, n: int, s: int) -> int:
 def _check_s1mod_def(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
     direct = stirling1_mod(n + 1, k + 1, s)
-    scaled = _scaled_reciprocal_eval(ctx.E(n, k, s), n, s)
-    mirrored = poly_eval_int(ctx.E(n, n * s - k, s), tuple(range(1, n + 1)))
+    scaled = _scaled_reciprocal_eval(ctx(bounded_elem_sym, n, k, s), n, s)
+    mirrored = poly_eval_int(
+        ctx(bounded_elem_sym, n, n * s - k, s), tuple(range(1, n + 1))
+    )
     ok = direct == scaled == mirrored
     rhs = str(scaled) if scaled == mirrored else f"scaled:{scaled} mirrored:{mirrored}"
     return ok, str(direct), rhs
@@ -665,7 +609,7 @@ def _grid_omega(r: Ranges) -> Iterator[dict]:
 
 def _check_omega(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
-    lhs = ctx.omega(n, s).coefficient((k,))
+    lhs = ctx(omega_poly, n, s).coefficient((k,))
     rhs = stirling1_higher(n, k, s)
     return lhs == rhs, str(lhs), str(rhs)
 
@@ -748,15 +692,6 @@ def _first_poly_failure(grid, printed_lhs, rhs) -> dict | None:
 
 def _erratum_inv_h() -> dict:
     ctx = _Ctx()
-
-    def rhs(p):
-        n, k, s = p["n"], p["k"], p["s"]
-        acc = Polynomial.zero()
-        for j in range(k * (s + 1) + 1):
-            term = ctx.h(n, j) * ctx.M(n, k * (s + 1) - j, s)
-            acc = acc + (-term if j % 2 else term)
-        return acc
-
     grid = [
         {"n": n, "k": k, "s": s}
         for n in range(1, 3)
@@ -764,7 +699,9 @@ def _erratum_inv_h() -> dict:
         for s in range(1, 3)
     ]
     first = _first_poly_failure(
-        grid, lambda p: ctx.h(p["n"], p["k"]).substitute_power(p["s"]), rhs
+        grid,
+        lambda p: ctx(comp_sym, p["n"], p["k"]).substitute_power(p["s"]),
+        lambda p: _inv_h_rhs(ctx, p["n"], p["k"], p["s"]),
     )
     return {
         "id": "INV_H",
@@ -782,22 +719,17 @@ def _erratum_inv_h() -> dict:
 
 def _erratum_inv_e() -> dict:
     ctx = _Ctx()
-
-    def rhs(p):
-        n, k, s = p["n"], p["k"], p["s"]
-        acc = Polynomial.zero()
-        for j in range(k // (s + 1) + 1):
-            term = ctx.e(n, j) * ctx.M(n, k - j * (s + 1), s)
-            acc = acc + (-term if j % 2 else term)
-        return acc
-
     grid = [
         {"n": n, "k": k, "s": s}
         for n in range(1, 3)
         for k in range(1, 5)
         for s in range(1, 3)
     ]
-    first = _first_poly_failure(grid, lambda p: ctx.e(p["n"], p["k"]), rhs)
+    first = _first_poly_failure(
+        grid,
+        lambda p: ctx(elem_sym, p["n"], p["k"]),
+        lambda p: _inv_e_rhs(ctx, p["n"], p["k"], p["s"], 1),
+    )
     return {
         "id": "INV_E",
         "printed_form": "e_k = sum_j (-1)^j e_j M_{k-j(s+1)}^(s)",
@@ -862,7 +794,7 @@ def _make_catalog() -> dict[str, _Identity]:
                 ("n", "k", "s"),
             ),
             lambda r: _grid_nks(r, n_lo=1),
-            _check_paths,
+            lambda ctx, p, r: _check_weight_sum(gen_lattice_paths, ctx, p),
         ),
         _Identity(
             IdentityInfo(
@@ -871,7 +803,7 @@ def _make_catalog() -> dict[str, _Identity]:
                 ("n", "k", "s"),
             ),
             lambda r: _grid_nks(r, n_lo=1),
-            _check_tilings,
+            lambda ctx, p, r: _check_weight_sum(gen_tilings, ctx, p),
         ),
         _Identity(
             IdentityInfo(
@@ -1183,17 +1115,6 @@ def _normalize_id(identity_id: str) -> str:
     return key
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("MODSYM_THREADS")
-    if raw is not None:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"MODSYM_THREADS must be an integer, got {raw!r}") from exc
-        return max(1, n)
-    return os.cpu_count() or 1
-
-
 def check_cell(
     identity_id: str, ranges: Ranges | None = None, **params
 ) -> IdentityCase:
@@ -1218,14 +1139,7 @@ def _run_identity(ident: _Identity, ranges: Ranges) -> VerifyReport:
     if not cells:
         raise ValueError(f"empty parameter grid for {ident.info.id}")
     ctx = _Ctx()
-    workers = _worker_count()
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, 32)) as pool:
-            results = list(
-                pool.map(lambda p: _run_cell(ident, ctx, p, ranges), cells)
-            )
-    else:
-        results = [_run_cell(ident, ctx, p, ranges) for p in cells]
+    results = [_run_cell(ident, ctx, p, ranges) for p in cells]
     passed = sum(1 for c in results if c.status == "pass")
     failed = [c for c in results if c.status == "fail"]
     skipped = sum(1 for c in results if c.status == "skipped")
@@ -1274,8 +1188,11 @@ def _mutated_rec4(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
     if k < s + 1:
         raise _Skip("requires k >= s+1")
-    rhs = ctx.M(n, k - s - 1, s).mul_power(n, s + 1) + ctx.M(n - 1, k, s)
-    lhs = ctx.M(n, k, s)
+    rhs = (
+        ctx(modular_sym, n, k - s - 1, s).mul_power(n, s + 1)
+        + ctx(modular_sym, n - 1, k, s)
+    )
+    lhs = ctx(modular_sym, n, k, s)
     return lhs == rhs, str(lhs), str(rhs)
 
 
@@ -1284,7 +1201,7 @@ def _mutated_s2mod_rec(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
     if n - k < s + 1:
         raise _Skip("requires n-k >= s+1")
-    lhs = ctx.s2spec(n, k, s)
+    lhs = ctx(stirling2_mod, n, k, s, "specialization")
     rhs = (
         _s2spec_or_zero(ctx, n - 1, k - 1, s)
         + k * _s2spec_or_zero(ctx, n - 2, k - 1, s)
@@ -1296,7 +1213,7 @@ def _mutated_s2mod_rec(ctx: _Ctx, p: dict, r: Ranges):
 def _mutated_allones(ctx: _Ctx, p: dict, r: Ranges):
     # shifts the second binomial from C(j+n-1, n-1) to C(j+n, n-1)
     n, k, s = p["n"], p["k"], p["s"]
-    rhs = poly_eval_int(ctx.M(n, k, s), (1,) * n)
+    rhs = poly_eval_int(ctx(modular_sym, n, k, s), (1,) * n)
     lhs = 0
     for j in range(k // (s + 1) + 1):
         t = k - j * (s + 1)
@@ -1310,8 +1227,8 @@ def _mutated_conv_he(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
     rhs = Polynomial.zero()
     for j in range(k // (s + 1) + 1):
-        rhs = rhs + ctx.h(n, j) * ctx.e(n, k - (s + 1) * j)
-    lhs = ctx.M(n, k, s)
+        rhs = rhs + ctx(comp_sym, n, j) * ctx(elem_sym, n, k - (s + 1) * j)
+    lhs = ctx(modular_sym, n, k, s)
     return lhs == rhs, str(lhs), str(rhs)
 
 

@@ -18,14 +18,18 @@ first kind:
 * ``stirling1_higher``  [n,k]_s with [n,k]_s = [n-1,k-1]_s + (n-1)^s [n-1,k]_s;
   these are the x^k coefficients of omega_poly(n, s).
 
-Triangles are filled bottom-up with explicit tables, so row counts in the
-hundreds stay cheap and no recursion depth is ever an issue.
+Each triangle recurrence is written once, as a generator of successive
+rows; the scalar functions read row n from it and ``triangle_rows`` takes the
+first rows.  Rows are built bottom-up, so row counts in the hundreds stay
+cheap and no recursion depth is ever an issue.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from io import StringIO
+from itertools import count, islice
 import csv
 
 from modsym.polycore import Polynomial, poly_eval_int
@@ -62,16 +66,63 @@ class StirlingQuery:
             raise ValueError(f"s must be >= 1, got {self.s}")
 
 
+def _nth_row(rows: Iterator, n: int):
+    return next(islice(rows, n, None))
+
+
+def _rows_stirling2() -> Iterator[list[int]]:
+    # rows [{n,0}, ..., {n,n}] for n = 0, 1, 2, ...
+    row = [1]
+    for i in count(1):
+        yield row
+        row = [0] + [row[j - 1] + j * row[j] if j < i else row[j - 1] for j in range(1, i + 1)]
+
+
+def _rows_stirling1() -> Iterator[list[int]]:
+    # rows [[n,0], ..., [n,n]] for n = 0, 1, 2, ...
+    row = [1]
+    for i in count(1):
+        yield row
+        row = [0] + [
+            (i - 1) * (row[j] if j < i else 0) + row[j - 1] for j in range(1, i + 1)
+        ]
+
+
+def _rows_stirling1_higher(s: int) -> Iterator[list[int]]:
+    # rows [[n,0]_s, ..., [n,n]_s] for n = 0, 1, 2, ...
+    row = [1]
+    for i in count(1):
+        yield row
+        w = (i - 1) ** s
+        row = [0] + [row[j - 1] + w * (row[j] if j < i else 0) for j in range(1, i + 1)]
+
+
+def _rows_stirling1_mod(s: int) -> Iterator[dict[int, int]]:
+    # nonzero values {k: [n,k]^(s)} for n = 0, 1, 2, ..., from the n = 0 seed
+    lo = 1 - s
+    row = {lo: 1}
+    for i in count(1):
+        yield row
+        base = i - 1
+        new = {}
+        for kk in range(lo, (i - 1) * s + 2):
+            acc = 0
+            for l in range(s + 1):
+                prev = row.get(kk - (s - l))
+                if prev:
+                    acc += prev * base**l
+            if acc:
+                new[kk] = acc
+        row = new
+
+
 def stirling2(n: int, k: int) -> int:
     """{n,k} via {n,k} = {n-1,k-1} + k*{n-1,k}, {0,0} = 1."""
     if n < 0 or k < 0:
         raise ValueError(f"n and k must be >= 0, got ({n}, {k})")
     if k > n:
         return 0
-    row = [1]
-    for i in range(1, n + 1):
-        row = [0] + [row[j - 1] + j * row[j] if j < i else row[j - 1] for j in range(1, i + 1)]
-    return row[k]
+    return _nth_row(_rows_stirling2(), n)[k]
 
 
 def stirling1(n: int, k: int) -> int:
@@ -80,12 +131,7 @@ def stirling1(n: int, k: int) -> int:
         raise ValueError(f"n and k must be >= 0, got ({n}, {k})")
     if k > n:
         return 0
-    row = [1]
-    for i in range(1, n + 1):
-        row = [0] + [
-            (i - 1) * (row[j] if j < i else 0) + row[j - 1] for j in range(1, i + 1)
-        ]
-    return row[k]
+    return _nth_row(_rows_stirling1(), n)[k]
 
 
 def _modular_eval_consecutive(num_vars: int, degree: int, s: int) -> int:
@@ -154,28 +200,9 @@ def stirling1_mod(n: int, k: int, s: int) -> int:
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     idx = (n - 1) * s - (k - 1)
-    if idx < 0 or idx > (n - 1) * s:
+    if idx < 0:
         return 0
     return poly_eval_int(bounded_elem_sym(n - 1, idx, s), tuple(range(1, n)))
-
-
-def _stirling1_mod_row(n: int, s: int) -> dict[int, int]:
-    # Nonzero values {k: [n,k]^(s)}, built bottom-up from the n = 0 seed.
-    lo = 1 - s
-    row = {lo: 1}
-    for i in range(1, n + 1):
-        base = i - 1
-        new = {}
-        for kk in range(lo, (i - 1) * s + 2):
-            acc = 0
-            for l in range(s + 1):
-                prev = row.get(kk - (s - l))
-                if prev:
-                    acc += prev * base**l
-            if acc:
-                new[kk] = acc
-        row = new
-    return row
 
 
 def stirling1_mod_rec(n: int, k: int, s: int) -> int:
@@ -188,9 +215,7 @@ def stirling1_mod_rec(n: int, k: int, s: int) -> int:
         raise ValueError(f"n must be >= 0, got {n}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    if k < 1 - s:
-        return 0
-    return _stirling1_mod_row(n, s).get(k, 0)
+    return _nth_row(_rows_stirling1_mod(s), n).get(k, 0)
 
 
 def stirling1_higher(n: int, k: int, s: int) -> int:
@@ -201,11 +226,7 @@ def stirling1_higher(n: int, k: int, s: int) -> int:
         raise ValueError(f"s must be >= 1, got {s}")
     if k > n:
         return 0
-    row = [1]
-    for i in range(1, n + 1):
-        w = (i - 1) ** s
-        row = [0] + [row[j - 1] + w * (row[j] if j < i else 0) for j in range(1, i + 1)]
-    return row[k]
+    return _nth_row(_rows_stirling1_higher(s), n)[k]
 
 
 def omega_poly(n: int, s: int) -> Polynomial:
@@ -287,45 +308,20 @@ def triangle_rows(family: str, s: int, n_max: int) -> list[list[int]]:
     StirlingQuery(0, 0, family, s)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    rows = []
     if family == "stirling2mod":
-        table = _stirling2_mod_table(n_max, n_max, s)
-        rows = [table[n][: n + 1] for n in range(n_max + 1)]
-    elif family == "stirling1mod":
-        lo = 1 - s
-        row = {lo: 1}
-        for n in range(n_max + 1):
-            if n:
-                base = n - 1
-                row = {
-                    kk: acc
-                    for kk in range(lo, (n - 1) * s + 2)
-                    if (
-                        acc := sum(
-                            row.get(kk - (s - l), 0) * base**l for l in range(s + 1)
-                        )
-                    )
-                }
-            hi = max(0, (n - 1) * s + 1)
-            rows.append([row.get(k, 0) for k in range(hi + 1)])
+        return _stirling2_mod_table(n_max, n_max, s)
+    if family == "stirling1mod":
+        return [
+            [row.get(k, 0) for k in range(max(0, (n - 1) * s + 1) + 1)]
+            for n, row in enumerate(islice(_rows_stirling1_mod(s), n_max + 1))
+        ]
+    if family == "stirling2":
+        rows = _rows_stirling2()
+    elif family == "stirling1":
+        rows = _rows_stirling1()
     else:
-        prev: list[int] = []
-        for n in range(n_max + 1):
-            if n == 0:
-                cur = [1]
-            else:
-                cur = [0] * (n + 1)
-                for j in range(1, n + 1):
-                    carry = prev[j] if j < n else 0
-                    if family == "stirling2":
-                        cur[j] = prev[j - 1] + j * carry
-                    elif family == "stirling1":
-                        cur[j] = prev[j - 1] + (n - 1) * carry
-                    else:
-                        cur[j] = prev[j - 1] + (n - 1) ** s * carry
-            rows.append(cur)
-            prev = cur
-    return rows
+        rows = _rows_stirling1_higher(s)
+    return list(islice(rows, n_max + 1))
 
 
 def triangle_csv(rows: list[list[int]]) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,55 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+# sha256 of stdout for a fixed set of invocations, in sha256sum's
+# "digest  arguments" form.  Output bytes are part of the CLI contract, so a
+# change here must be deliberate.
+_PINNED_STDOUT = [line.split("  ", 1) for line in """\
+78bdf686f3e70035de9d6da679c440d20bbc812f31416ef7bd828c6f78381259  table --family stirling2 --s 1 --n-max 40 --format text
+145e1357cd0ad3022f39dbab1ec98977fc75a95c90098bbf8a7542d0a3165b1c  table --family stirling2 --s 1 --n-max 40 --format csv
+e22a6d647d8e3596f6af877ad96fd7cc76131a33b96ea60e9d4115615000e6fa  table --family stirling2 --s 1 --n-max 40 --format json
+78bdf686f3e70035de9d6da679c440d20bbc812f31416ef7bd828c6f78381259  table --family stirling2 --s 3 --n-max 40 --format text
+145e1357cd0ad3022f39dbab1ec98977fc75a95c90098bbf8a7542d0a3165b1c  table --family stirling2 --s 3 --n-max 40 --format csv
+e22a6d647d8e3596f6af877ad96fd7cc76131a33b96ea60e9d4115615000e6fa  table --family stirling2 --s 3 --n-max 40 --format json
+05176bd4c4e313bfc3e8c1b374a927dcfcfe188fa2d8120a3af68d13102435e7  table --family stirling1 --s 1 --n-max 40 --format text
+fda507147fad27f48b38c6bd400d62b0ae88b074b49af8c7330a4ba37637cee2  table --family stirling1 --s 1 --n-max 40 --format csv
+f44892d84ea8f909b7d19b3b12c7c667075095691e5c0e04c982f2103dca78fe  table --family stirling1 --s 1 --n-max 40 --format json
+05176bd4c4e313bfc3e8c1b374a927dcfcfe188fa2d8120a3af68d13102435e7  table --family stirling1 --s 3 --n-max 40 --format text
+fda507147fad27f48b38c6bd400d62b0ae88b074b49af8c7330a4ba37637cee2  table --family stirling1 --s 3 --n-max 40 --format csv
+f44892d84ea8f909b7d19b3b12c7c667075095691e5c0e04c982f2103dca78fe  table --family stirling1 --s 3 --n-max 40 --format json
+78bdf686f3e70035de9d6da679c440d20bbc812f31416ef7bd828c6f78381259  table --family stirling2mod --s 1 --n-max 40 --format text
+145e1357cd0ad3022f39dbab1ec98977fc75a95c90098bbf8a7542d0a3165b1c  table --family stirling2mod --s 1 --n-max 40 --format csv
+59ac0b17396d55f97675d218dd31167f4f55593550c2bf79952ef6d8b636ee5d  table --family stirling2mod --s 1 --n-max 40 --format json
+878680ae8d6c90e17118a7dc938382763fd108211609baf03684779b9cadeb4a  table --family stirling2mod --s 3 --n-max 40 --format text
+5b42cc087b3ce8828a7db781e7f64508d6ff03ce47cc1b2c4ae3dd160284948f  table --family stirling2mod --s 3 --n-max 40 --format csv
+0ad7f0afee518c42e22816f50f3efbb2faf93b3879da1e275312f303e91053e1  table --family stirling2mod --s 3 --n-max 40 --format json
+05176bd4c4e313bfc3e8c1b374a927dcfcfe188fa2d8120a3af68d13102435e7  table --family stirling1mod --s 1 --n-max 40 --format text
+fda507147fad27f48b38c6bd400d62b0ae88b074b49af8c7330a4ba37637cee2  table --family stirling1mod --s 1 --n-max 40 --format csv
+be8cd81cc07e9c078a080922573b1d5aa87d006b0b569c2a3611271c4a890cae  table --family stirling1mod --s 1 --n-max 40 --format json
+11c6cc51e483b8f5f00a12f9e36eac275de47a31bc1ecbba2c4f68ec39e88228  table --family stirling1mod --s 3 --n-max 40 --format text
+754b351edcfd133c8f741078128a3722db512f34987a344995654743bfa0a7e2  table --family stirling1mod --s 3 --n-max 40 --format csv
+6d6c28bf57e362314a169ec30c17e63b621b19444e940d96f819a860ae9e1dc8  table --family stirling1mod --s 3 --n-max 40 --format json
+05176bd4c4e313bfc3e8c1b374a927dcfcfe188fa2d8120a3af68d13102435e7  table --family stirling1higher --s 1 --n-max 40 --format text
+fda507147fad27f48b38c6bd400d62b0ae88b074b49af8c7330a4ba37637cee2  table --family stirling1higher --s 1 --n-max 40 --format csv
+4b27c84bbc321555323897c36998fef9752c09a3eeb9b678a5940e87b7ac2e7e  table --family stirling1higher --s 1 --n-max 40 --format json
+99f4a4ab9c0d0d19d372306e3f70092cd22837cac95899a6b070fa8daeed807c  table --family stirling1higher --s 3 --n-max 40 --format text
+c1f7674baa9a7e7d599c27b7d44a9a3175fdf297d7aa53351512655014fad1ac  table --family stirling1higher --s 3 --n-max 40 --format csv
+8a0f454bf77c5fa927875a9ac3563e6b74a4bb89bec3325ea5a9fc843b334cd9  table --family stirling1higher --s 3 --n-max 40 --format json
+626a78d27152f4ee33c00ffa8f0d118f7c7c3a00e6c58c667ae1da6cc0a28ef7  verify --id all --profile quick
+b6234046b3ac61e7c849960bc8c42091bfc8b68fe05a3b8c0f0297865a07e969  verify --seed-check
+00d7100fe3e840c75832c6cce4d1b55c5c1546f503907c69cfde84687c24e374  eval --function M --s 2 --k 7 --vars 1,2,3,4,5
+4ed73a6045555987462f7ce359ddf1d14912a61c1ca7a78a6c978afb4b3a9b04  eval --function E --s 3 --k 5 --vars 2,3,5,7 --format json
+0e77cf34e21a843f5b1c40634b2766cb294f0c4ea903e58477ca85ed9ff5aa05  eval --function M --s 2 --k 5 --vars symbolic:3
+3d7e58f4668ffc3057f94187d16087b088135840f4ee416c29c53b3cf7b791a9  eval --function Ml --s 3 --ell 2 --k 4 --vars symbolic:3 --format json
+6b0104f6f9293c02814fa031578a3ee9a47d00b0b40a097201a2f1267ec2c3cc  eval --function h --k 3 --vars symbolic:3
+6256d166405ca873c586d0c76e9528fa23a172c82f07096e8899a50aacf2bbfb  enumerate --family partitions-mod --n 6 --k 3 --s 2
+df4f8216e4f1634b61095f461a6ec3e78be99820f28b4f8ae75f577a12799667  enumerate --family paths --n 3 --k 5 --s 2 --format json
+23daffea3ef626217ce3b85b944b060ea2b2827897d45b3e70a8094cc72c6f93  enumerate --family perms --n 5 --k 2
+8a8e66291f6fdfeeee6770da6a96d45c92c67c7d9d59d11d31ad04c0043254f9  enumerate --family nested-tuples --n 3 --k 3 --s 2 --format json
+b2528670a4e22e497f59e359d2ad188dfcc64c951a355d9d590240c543b8953f  enumerate --family partitions-bounded --board 6 --blocks 3 --s 2
+""".splitlines()]
 
 
 class TestTable:
@@ -237,6 +287,21 @@ class TestVerify:
         assert obj["range"]["p_list"] == [2, 3, 5]
 
 
+class TestOutputErrors:
+    @pytest.mark.parametrize("argv", [
+        ("table", "--family", "stirling2", "--n-max", "3"),
+        ("eval", "--function", "h", "--k", "2", "--vars", "1,2"),
+        ("enumerate", "--family", "perms", "--n", "3", "--k", "2"),
+        ("verify", "--id", "omega"),
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("dest", ["missing-dir/out", "."], ids=["missing", "directory"])
+    def test_unopenable_output_exits_2(self, capsys, tmp_path, argv, dest):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", str(tmp_path / dest)])
+        assert exc.value.code == 2
+        assert "modsym: error: cannot open --output" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_table_byte_identical(self, capsys):
         args = ("table", "--family", "stirling2mod", "--s", "3", "--n-max", "8",
@@ -251,3 +316,11 @@ class TestDeterminism:
         _, a = run_cli(capsys, *args)
         _, b = run_cli(capsys, *args)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "digest,argv", _PINNED_STDOUT, ids=[argv for _, argv in _PINNED_STDOUT]
+    )
+    def test_pinned_stdout(self, capsys, digest, argv):
+        code, out = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -224,12 +224,3 @@ class TestRhsHelpers:
                         )
                         assert direct == lmod_rhs(n, k, s, ell)
 
-
-class TestThreadControl:
-    def test_thread_env_respected(self, monkeypatch):
-        monkeypatch.setenv("MODSYM_THREADS", "2")
-        rep = verify("OMEGA", Ranges(n_max=4, s_max=2))
-        assert rep.failed == 0
-        monkeypatch.setenv("MODSYM_THREADS", "bogus")
-        with pytest.raises(ValueError):
-            verify("OMEGA", Ranges(n_max=3, s_max=1))
