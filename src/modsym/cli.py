@@ -5,13 +5,16 @@ flags are long-form and there are no positional arguments, so invocations
 stay self-documenting in scripts.  Output goes to stdout or ``--output``;
 identical invocations produce byte-identical output.
 
-Exit status: 0 success, 1 verification failures present, 2 usage error.
+Exit status: 0 success, 1 verification failures present, 2 usage error,
+141 stdout closed by its reader before all output was written (128 + SIGPIPE,
+as for a program killed by that signal; nothing is printed to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -116,8 +119,8 @@ def _cmd_table(args, parser) -> int:
         parser.error(f"--s must be >= 1, got {args.s}")
     if args.n_max < 0:
         parser.error(f"--n-max must be >= 0, got {args.n_max}")
-    rows = stirling.triangle_rows(args.family, args.s, args.n_max)
     with _destination(args.output, parser) as fh:
+        rows = stirling.triangle_rows(args.family, args.s, args.n_max)
         if args.format == "text":
             for row in rows:
                 fh.write(" ".join(str(v) for v in row) + "\n")
@@ -147,25 +150,25 @@ def _parse_vars(raw: str, parser):
 
 def _cmd_eval(args, parser) -> int:
     n, point = _parse_vars(args.vars, parser)
-    try:
-        if args.function == "M":
-            poly = symfun.modular_sym(n, args.k, args.s)
-        elif args.function == "E":
-            poly = symfun.bounded_elem_sym(n, args.k, args.s)
-        elif args.function == "e":
-            poly = symfun.elem_sym(n, args.k)
-        elif args.function == "h":
-            poly = symfun.comp_sym(n, args.k)
-        else:
-            if args.ell is None:
-                parser.error("--ell is required for --function Ml")
-            poly = symfun.lmodular_sym(n, args.k, args.s, args.ell)
-    except ValueError as exc:
-        parser.error(str(exc))
     params = {"function": args.function, "n": n, "k": args.k, "s": args.s}
     if args.function == "Ml":
         params["ell"] = args.ell
     with _destination(args.output, parser) as fh:
+        try:
+            if args.function == "M":
+                poly = symfun.modular_sym(n, args.k, args.s)
+            elif args.function == "E":
+                poly = symfun.bounded_elem_sym(n, args.k, args.s)
+            elif args.function == "e":
+                poly = symfun.elem_sym(n, args.k)
+            elif args.function == "h":
+                poly = symfun.comp_sym(n, args.k)
+            else:
+                if args.ell is None:
+                    parser.error("--ell is required for --function Ml")
+                poly = symfun.lmodular_sym(n, args.k, args.s, args.ell)
+        except ValueError as exc:
+            parser.error(str(exc))
         if point is None:
             if args.format == "text":
                 fh.write(str(poly) + "\n")
@@ -292,21 +295,20 @@ def _cmd_verify(args, parser) -> int:
         if any(v is not None for v in fields.values())
         else None
     )
-    if args.seed_check:
-        reports = identities.mutation_selftest()
-        with _destination(args.output, parser) as fh:
-            _json_dump([r.to_json_obj() for r in reports], fh)
-        return 0 if all(r.failed for r in reports) else 1
-    try:
-        if args.id.lower() == "all":
-            reports = identities.verify_all(args.profile, ranges)
-            payload: object = [r.to_json_obj() for r in reports]
-        else:
-            reports = [identities.verify(args.id, ranges, args.profile)]
-            payload = reports[0].to_json_obj()
-    except ValueError as exc:
-        parser.error(str(exc))
     with _destination(args.output, parser) as fh:
+        if args.seed_check:
+            reports = identities.mutation_selftest()
+            _json_dump([r.to_json_obj() for r in reports], fh)
+            return 0 if all(r.failed for r in reports) else 1
+        try:
+            if args.id.lower() == "all":
+                reports = identities.verify_all(args.profile, ranges)
+                payload: object = [r.to_json_obj() for r in reports]
+            else:
+                reports = [identities.verify(args.id, ranges, args.profile)]
+                payload = reports[0].to_json_obj()
+        except ValueError as exc:
+            parser.error(str(exc))
         _json_dump(payload, fh)
     return 1 if any(r.failed for r in reports) else 0
 
@@ -314,13 +316,22 @@ def _cmd_verify(args, parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "table":
-        return _cmd_table(args, parser)
-    if args.command == "eval":
-        return _cmd_eval(args, parser)
-    if args.command == "enumerate":
-        return _cmd_enumerate(args, parser)
-    return _cmd_verify(args, parser)
+    try:
+        if args.command == "table":
+            return _cmd_table(args, parser)
+        if args.command == "eval":
+            return _cmd_eval(args, parser)
+        if args.command == "enumerate":
+            return _cmd_enumerate(args, parser)
+        return _cmd_verify(args, parser)
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.  Pointing the
+        # descriptor at the null device keeps the interpreter's final flush
+        # of the unwritten buffer from reporting the same error at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -17,9 +17,10 @@ printed variant of the statement that provably disagrees with the defining
 specialization.  The variant is evaluated and its first failing cell is
 recorded in the report's ``errata`` field; it is never asserted.
 
-``mutation_selftest`` perturbs five identities on purpose and re-runs them;
-each perturbation must produce at least one failure, guarding the suite
-against vacuous passes.
+``mutation_selftest`` reruns five catalog checkers, each with one constant
+changed through a keyword hook whose default is the true value; each
+perturbation must produce at least one failure, guarding the suite against
+vacuous passes.
 
 Grid cells are independent pure computations.  They run one after another
 in grid order and share one memo of library calls per verify call.
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from math import comb, gcd
+from functools import partial
+from math import gcd
 
 from modsym.enumeration import (
     count_equal_minset_tuples,
@@ -53,6 +55,7 @@ from modsym.stirling import (
     stirling2_mod_series,
 )
 from modsym.symfun import (
+    _modular_conv,
     _residue_parts,
     bounded_elem_sym,
     comp_sym,
@@ -200,10 +203,13 @@ def h_at_powered_points(n: int, j: int, s: int) -> int:
     return poly_eval_int(comp_sym(n, j), tuple(i ** (s + 1) for i in range(1, n + 1)))
 
 
-def ps1_rhs(n: int, k: int, s: int) -> int:
+def ps1_rhs(n: int, k: int, s: int, *, _shift: int = 0) -> int:
     """sum_i h_{floor(k/(s+1))-i}(powered points) * [n+1, n+1-r-i(s+1)],
-    with r = k mod (s+1): the first-kind expansion of {n+k, n}^(s)."""
-    r = k % (s + 1)
+    with r = k mod (s+1): the first-kind expansion of {n+k, n}^(s).
+
+    A nonzero ``_shift`` perturbs the remainder to (k+_shift) mod (s+1);
+    only the mutation self-test sets it."""
+    r = (k + _shift) % (s + 1)
     hi = min((n - r) // (s + 1), k // (s + 1))
     total = 0
     for i in range(hi + 1):
@@ -246,24 +252,23 @@ def lmod_rhs(n: int, k: int, s: int, ell: int) -> int:
 # grid construction
 
 
-def _span(hi: int | None, default: int, lo: int = 0) -> range:
-    top = default if hi is None else hi
-    return range(lo, top + 1)
+def _span(hi: int, lo: int = 0) -> range:
+    return range(lo, hi + 1)
 
 
 def _grid_nks(r: Ranges, n_lo=0, k_lo=0) -> Iterator[dict]:
-    for n in _span(r.n_max, 4, n_lo):
-        for k in _span(r.k_max, 6, k_lo):
-            for s in _span(r.s_max, 2, 1):
+    for n in _span(r.n_max, n_lo):
+        for k in _span(r.k_max, k_lo):
+            for s in _span(r.s_max, 1):
                 yield {"n": n, "k": k, "s": s}
 
 
 def _grid_triangle(r: Ranges, k_lo=0) -> Iterator[dict]:
     # second-kind style: 0 <= k <= n
-    for n in _span(r.n_max, 8):
+    for n in _span(r.n_max):
         k_hi = n if r.k_max is None else min(n, r.k_max)
         for k in range(k_lo, k_hi + 1):
-            for s in _span(r.s_max, 2, 1):
+            for s in _span(r.s_max, 1):
                 yield {"n": n, "k": k, "s": s}
 
 
@@ -278,8 +283,7 @@ class _Skip(Exception):
 
 
 def _check_gf_m(ctx: _Ctx, p: dict, r: Ranges):
-    bound = r.k_max if r.k_max is not None else 6
-    lhs = ctx(modular_series, p["n"], p["s"], bound).coefficient(p["k"])
+    lhs = ctx(modular_series, p["n"], p["s"], r.k_max).coefficient(p["k"])
     rhs = ctx(modular_sym, p["n"], p["k"], p["s"])
     return lhs == rhs, str(lhs), str(rhs)
 
@@ -293,13 +297,13 @@ def _check_rec3(ctx: _Ctx, p: dict, r: Ranges):
     return lhs == rhs, str(lhs), str(rhs)
 
 
-def _check_rec4(ctx: _Ctx, p: dict, r: Ranges):
+def _check_rec4(ctx: _Ctx, p: dict, r: Ranges, cross: int = 1):
     n, k, s = p["n"], p["k"], p["s"]
     if k < s + 1:
         raise _Skip("requires k >= s+1")
     rhs = (
         ctx(modular_sym, n, k - s - 1, s).mul_power(n, s + 1)
-        + ctx(modular_sym, n - 1, k - 1, s).mul_power(n, 1)
+        + cross * ctx(modular_sym, n - 1, k - 1, s).mul_power(n, 1)
         + ctx(modular_sym, n - 1, k, s)
     )
     lhs = ctx(modular_sym, n, k, s)
@@ -319,9 +323,9 @@ def _check_weight_sum(gen: Callable, ctx: _Ctx, p: dict):
     return lhs == rhs, str(lhs), str(rhs)
 
 
-def _check_allones(ctx: _Ctx, p: dict, r: Ranges):
+def _check_allones(ctx: _Ctx, p: dict, r: Ranges, shift: int = 0):
     n, k, s = p["n"], p["k"], p["s"]
-    lhs = modular_all_ones(n, k, s)
+    lhs = modular_all_ones(n, k, s, _shift=shift)
     rhs = poly_eval_int(ctx(modular_sym, n, k, s), (1,) * n)
     return lhs == rhs, str(lhs), str(rhs)
 
@@ -339,7 +343,7 @@ def _s2spec_or_zero(ctx: _Ctx, n: int, k: int, s: int) -> int:
     return ctx(stirling2_mod, n, k, s, "specialization")
 
 
-def _check_s2mod_rec(ctx: _Ctx, p: dict, r: Ranges):
+def _check_s2mod_rec(ctx: _Ctx, p: dict, r: Ranges, lift: int = 1):
     n, k, s = p["n"], p["k"], p["s"]
     if n - k < s + 1:
         raise _Skip("requires n-k >= s+1")
@@ -347,22 +351,21 @@ def _check_s2mod_rec(ctx: _Ctx, p: dict, r: Ranges):
     rhs = (
         _s2spec_or_zero(ctx, n - 1, k - 1, s)
         + k * _s2spec_or_zero(ctx, n - 2, k - 1, s)
-        + k ** (s + 1) * _s2spec_or_zero(ctx, n - s - 1, k, s)
+        + k ** (s + lift) * _s2spec_or_zero(ctx, n - s - 1, k, s)
     )
     return lhs == rhs, str(lhs), str(rhs)
 
 
 def _grid_s2mod_gf(r: Ranges) -> Iterator[dict]:
-    for k in _span(r.k_max, 3):
-        for s in _span(r.s_max, 2, 1):
-            for m in _span(r.n_max, 8):
+    for k in _span(r.k_max):
+        for s in _span(r.s_max, 1):
+            for m in _span(r.n_max):
                 yield {"k": k, "s": s, "m": m}
 
 
 def _check_s2mod_gf(ctx: _Ctx, p: dict, r: Ranges):
     k, s, m = p["k"], p["s"], p["m"]
-    bound = r.n_max if r.n_max is not None else 8
-    lhs = ctx(stirling2_mod_series, k, s, bound)[m]
+    lhs = ctx(stirling2_mod_series, k, s, r.n_max)[m]
     rhs = stirling2_mod(k + m, k, s, "recurrence")
     return lhs == rhs, str(lhs), str(rhs)
 
@@ -383,16 +386,16 @@ def _check_part_zero(ctx: _Ctx, p: dict, r: Ranges):
     return lhs == rhs, str(lhs), str(rhs)
 
 
-def _check_ps1(ctx: _Ctx, p: dict, r: Ranges):
+def _check_ps1(ctx: _Ctx, p: dict, r: Ranges, shift: int = 0):
     n, k, s = p["n"], p["k"], p["s"]
     lhs = stirling2_mod(n + k, n, s, "recurrence")
-    rhs = ps1_rhs(n, k, s)
+    rhs = ps1_rhs(n, k, s, _shift=shift)
     return lhs == rhs, str(lhs), str(rhs)
 
 
 def _grid_fermat(r: Ranges) -> Iterator[dict]:
-    for n in _span(r.n_max, 3):
-        for k in _span(r.k_max, 5):
+    for n in _span(r.n_max):
+        for k in _span(r.k_max):
             for p in r.p_list or (2, 3):
                 yield {"n": n, "k": k, "p": p}
 
@@ -413,9 +416,9 @@ def _check_fermat(ctx: _Ctx, p: dict, r: Ranges):
 
 
 def _grid_lmod(r: Ranges) -> Iterator[dict]:
-    for n in _span(r.n_max, 3):
-        for k in _span(r.k_max, 5):
-            for s in _span(r.s_max, 2, 1):
+    for n in _span(r.n_max):
+        for k in _span(r.k_max):
+            for s in _span(r.s_max, 1):
                 ells = range(s + 1) if r.ell is None else (r.ell,)
                 for ell in ells:
                     if ell > s:
@@ -450,10 +453,10 @@ def _check_evanish(ctx: _Ctx, p: dict, r: Ranges):
     return total.is_zero, str(total), "0"
 
 
-def _check_conv_he(ctx: _Ctx, p: dict, r: Ranges):
+def _check_conv_he(ctx: _Ctx, p: dict, r: Ranges, powered: bool = True):
     n, k, s = p["n"], p["k"], p["s"]
     lhs = ctx(modular_sym, n, k, s)
-    rhs = ctx(modular_sym, n, k, s, "convolution")
+    rhs = _modular_conv(n, k, s, s + 1 if powered else 1)
     return lhs == rhs, str(lhs), str(rhs)
 
 
@@ -509,8 +512,8 @@ def _check_eh_me(ctx: _Ctx, p: dict, r: Ranges):
 
 
 def _grid_s1mod_def(r: Ranges) -> Iterator[dict]:
-    for n in _span(r.n_max, 4, 1):
-        for s in _span(r.s_max, 2, 1):
+    for n in _span(r.n_max, 1):
+        for s in _span(r.s_max, 1):
             k_hi = n * s if r.k_max is None else min(n * s, r.k_max)
             for k in range(k_hi + 1):
                 yield {"n": n, "k": k, "s": s}
@@ -541,13 +544,14 @@ def _check_s1mod_def(ctx: _Ctx, p: dict, r: Ranges):
     return ok, str(direct), rhs
 
 
-def _grid_s1mod_rec(r: Ranges) -> Iterator[dict]:
-    for n in _span(r.n_max, 5, 1):
-        for s in _span(r.s_max, 2, 1):
+def _grid_s1mod_rec(r: Ranges, nested: bool = False) -> Iterator[dict]:
+    # the nested min-set count also has cells down to k = 1 - s
+    for n in _span(r.n_max, 1):
+        for s in _span(r.s_max, 1):
             k_hi = (n - 1) * s + 1
             if r.k_max is not None:
                 k_hi = min(k_hi, r.k_max)
-            for k in range(1, k_hi + 1):
+            for k in range(1 - s if nested else 1, k_hi + 1):
                 yield {"n": n, "k": k, "s": s}
 
 
@@ -559,13 +563,12 @@ def _check_s1mod_rec(ctx: _Ctx, p: dict, r: Ranges):
 
 
 def _grid_s1mod_part(r: Ranges) -> Iterator[dict]:
-    board_cap = r.board_max if r.board_max is not None else 10
-    for n in _span(r.n_max, 3, 1):
-        for s in _span(r.s_max, 2, 1):
+    for n in _span(r.n_max, 1):
+        for s in _span(r.s_max, 1):
             k_hi = n * s if r.k_max is None else min(n * s, r.k_max)
             for k in range(k_hi + 1):
                 board = n * (s + 1) - k
-                if n <= board <= board_cap:
+                if n <= board <= r.board_max:
                     yield {"n": n, "k": k, "s": s}
 
 
@@ -574,16 +577,6 @@ def _check_s1mod_part(ctx: _Ctx, p: dict, r: Ranges):
     lhs = count_partitions_bounded(n * (s + 1) - k, n, s)
     rhs = stirling1_mod(n + 1, k + 1, s)
     return lhs == rhs, str(lhs), str(rhs)
-
-
-def _grid_nested(r: Ranges) -> Iterator[dict]:
-    for n in _span(r.n_max, 3, 1):
-        for s in _span(r.s_max, 2, 1):
-            k_hi = (n - 1) * s + 1
-            if r.k_max is not None:
-                k_hi = min(k_hi, r.k_max)
-            for k in range(1 - s, k_hi + 1):
-                yield {"n": n, "k": k, "s": s}
 
 
 def _check_nested(ctx: _Ctx, p: dict, r: Ranges):
@@ -601,9 +594,9 @@ def _check_higher_rec(ctx: _Ctx, p: dict, r: Ranges):
 
 
 def _grid_omega(r: Ranges) -> Iterator[dict]:
-    for n in _span(r.n_max, 5):
+    for n in _span(r.n_max):
         for k in range(n + 1):
-            for s in _span(r.s_max, 2, 1):
+            for s in _span(r.s_max, 1):
                 yield {"n": n, "k": k, "s": s}
 
 
@@ -1004,7 +997,7 @@ def _make_catalog() -> dict[str, _Identity]:
                 "by [n,k]^(s)",
                 ("n", "k", "s"),
             ),
-            _grid_nested,
+            lambda r: _grid_s1mod_rec(r, nested=True),
             _check_nested,
         ),
         _Identity(
@@ -1183,99 +1176,42 @@ def verify_all(
 # mutation self-test: perturbed identities must fail
 
 
-def _mutated_rec4(ctx: _Ctx, p: dict, r: Ranges):
-    # drops the x_n M_{k-1}(n-1) cross term
-    n, k, s = p["n"], p["k"], p["s"]
-    if k < s + 1:
-        raise _Skip("requires k >= s+1")
-    rhs = (
-        ctx(modular_sym, n, k - s - 1, s).mul_power(n, s + 1)
-        + ctx(modular_sym, n - 1, k, s)
-    )
-    lhs = ctx(modular_sym, n, k, s)
-    return lhs == rhs, str(lhs), str(rhs)
-
-
-def _mutated_s2mod_rec(ctx: _Ctx, p: dict, r: Ranges):
-    # weakens the k^(s+1) coefficient to k^s
-    n, k, s = p["n"], p["k"], p["s"]
-    if n - k < s + 1:
-        raise _Skip("requires n-k >= s+1")
-    lhs = ctx(stirling2_mod, n, k, s, "specialization")
-    rhs = (
-        _s2spec_or_zero(ctx, n - 1, k - 1, s)
-        + k * _s2spec_or_zero(ctx, n - 2, k - 1, s)
-        + k**s * _s2spec_or_zero(ctx, n - s - 1, k, s)
-    )
-    return lhs == rhs, str(lhs), str(rhs)
-
-
-def _mutated_allones(ctx: _Ctx, p: dict, r: Ranges):
-    # shifts the second binomial from C(j+n-1, n-1) to C(j+n, n-1)
-    n, k, s = p["n"], p["k"], p["s"]
-    rhs = poly_eval_int(ctx(modular_sym, n, k, s), (1,) * n)
-    lhs = 0
-    for j in range(k // (s + 1) + 1):
-        t = k - j * (s + 1)
-        if t <= n:
-            lhs += comb(n, t) * comb(j + n, n - 1)
-    return lhs == rhs, str(lhs), str(rhs)
-
-
-def _mutated_conv_he(ctx: _Ctx, p: dict, r: Ranges):
-    # forgets to raise the h-factor variables to the (s+1)-th power
-    n, k, s = p["n"], p["k"], p["s"]
-    rhs = Polynomial.zero()
-    for j in range(k // (s + 1) + 1):
-        rhs = rhs + ctx(comp_sym, n, j) * ctx(elem_sym, n, k - (s + 1) * j)
-    lhs = ctx(modular_sym, n, k, s)
-    return lhs == rhs, str(lhs), str(rhs)
-
-
-def _mutated_ps1(ctx: _Ctx, p: dict, r: Ranges):
-    # uses the wrong remainder r = (k+1) mod (s+1)
-    n, k, s = p["n"], p["k"], p["s"]
-    lhs = stirling2_mod(n + k, n, s, "recurrence")
-    rr = (k + 1) % (s + 1)
-    hi = min((n - rr) // (s + 1), k // (s + 1))
-    rhs = 0
-    for i in range(hi + 1):
-        idx = n + 1 - rr - i * (s + 1)
-        if idx >= 0:
-            rhs += h_at_powered_points(n, k // (s + 1) - i, s) * stirling1(n + 1, idx)
-    return lhs == rhs, str(lhs), str(rhs)
-
-
-_MUTATIONS: tuple[tuple[str, str, Callable, Callable], ...] = (
+# (report id, anchor, catalog id, ranges, checker hook values)
+_MUTATIONS: tuple[tuple[str, str, str, Ranges, dict], ...] = (
     (
         "REC4_drop_cross_term",
         "REC4 without the x_n M_{k-1}^(s)(n-1) term",
-        lambda r: _grid_nks(r, n_lo=1),
-        _mutated_rec4,
+        "REC4",
+        Ranges(n_max=3, k_max=6, s_max=2),
+        {"cross": 0},
     ),
     (
         "S2MOD_REC_weaken_power",
         "S2MOD_REC with k^s in place of k^(s+1)",
-        lambda r: _grid_triangle(r, k_lo=1),
-        _mutated_s2mod_rec,
+        "S2MOD_REC",
+        Ranges(n_max=8, s_max=2),
+        {"lift": 0},
     ),
     (
         "ALLONES_shift_binomial",
         "ALLONES with C(j+n, n-1) in place of C(j+n-1, n-1)",
-        lambda r: _grid_nks(r, n_lo=1),
-        _mutated_allones,
+        "ALLONES",
+        Ranges(n_max=3, k_max=6, s_max=2),
+        {"shift": 1},
     ),
     (
         "CONV_HE_unpowered_h",
         "CONV_HE with h_j(x) in place of h_j(x^(s+1))",
-        lambda r: _grid_nks(r, n_lo=1),
-        _mutated_conv_he,
+        "CONV_HE",
+        Ranges(n_max=3, k_max=6, s_max=2),
+        {"powered": False},
     ),
     (
         "PS1_wrong_remainder",
         "PS1 with remainder (k+1) mod (s+1)",
-        _grid_nks,
-        _mutated_ps1,
+        "PS1",
+        Ranges(n_max=3, k_max=6, s_max=2),
+        {"shift": 1},
     ),
 )
 
@@ -1283,14 +1219,14 @@ _MUTATIONS: tuple[tuple[str, str, Callable, Callable], ...] = (
 def mutation_selftest() -> list[VerifyReport]:
     """Run the five built-in perturbations; every report must show failures.
 
-    A perturbation that passes everywhere would mean the corresponding
-    identity check is vacuous on its grid.
+    Each perturbation runs the catalog entry's own grid and checker, with
+    one hook of the checker set away from its true value.  A perturbation
+    that passes everywhere would mean that checker is vacuous on its grid.
     """
     reports = []
-    for name, anchor, grid, check in _MUTATIONS:
-        ranges = Ranges(n_max=3, k_max=6, s_max=2)
-        if name == "S2MOD_REC_weaken_power":
-            ranges = Ranges(n_max=8, s_max=2)
-        ident = _Identity(IdentityInfo(name, anchor, ("n", "k", "s")), grid, check)
+    for name, anchor, key, ranges, hooks in _MUTATIONS:
+        entry = _CATALOG[key]
+        info = IdentityInfo(name, anchor, entry.info.parameters)
+        ident = _Identity(info, entry.grid, partial(entry.check, **hooks))
         reports.append(_run_identity(ident, ranges))
     return reports

@@ -169,13 +169,13 @@ def _modular_rec(n: int, k: int, s: int, memo: dict) -> Polynomial:
     return result
 
 
-def _modular_conv(n: int, k: int, s: int) -> Polynomial:
-    # sum_j h_j(x^{s+1}) * e_{k-(s+1)j}
+def _modular_conv(n: int, k: int, s: int, h_power: int) -> Polynomial:
+    # sum_j h_j(x^h_power) * e_{k-(s+1)j}; M_k^(s) has h_power = s+1
     result = Polynomial.zero()
     for j in range(k // (s + 1) + 1):
         e_part = elem_sym(n, k - (s + 1) * j)
         if e_part:
-            result = result + comp_sym(n, j).substitute_power(s + 1) * e_part
+            result = result + comp_sym(n, j).substitute_power(h_power) * e_part
     return result
 
 
@@ -189,7 +189,7 @@ def modular_sym(n: int, k: int, s: int, method: str = "enumeration") -> Polynomi
             return Polynomial.one() if k == 0 else Polynomial.zero()
         return _modular_rec(n, k, s, {})
     if method == "convolution":
-        return _modular_conv(n, k, s)
+        return _modular_conv(n, k, s, s + 1)
     raise ValueError(
         f"unknown method {method!r}; expected one of {MODULAR_METHODS}"
     )
@@ -215,11 +215,13 @@ def modular_series(n: int, s: int, degree_bound: int) -> TruncatedSeries:
     return result
 
 
-def modular_all_ones(n: int, k: int, s: int) -> int:
+def modular_all_ones(n: int, k: int, s: int, *, _shift: int = 0) -> int:
     """M_k^(s) evaluated with every variable equal to 1.
 
     Counts the admissible compositions directly:
     sum_j C(n, k-j(s+1)) * C(j+n-1, n-1) over 0 <= j <= k // (s+1).
+    A nonzero ``_shift`` perturbs the second binomial to C(j+n-1+_shift, n-1);
+    only the verifier's mutation self-test sets it.
     """
     SymFunParams(n, k, s)
     if n < 1:
@@ -228,5 +230,5 @@ def modular_all_ones(n: int, k: int, s: int) -> int:
     for j in range(k // (s + 1) + 1):
         r = k - j * (s + 1)
         if r <= n:
-            total += comb(n, r) * comb(j + n - 1, n - 1)
+            total += comb(n, r) * comb(j + n - 1 + _shift, n - 1)
     return total

@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modsym
+from modsym import identities, stirling, symfun
 from modsym.cli import main
 
 
@@ -300,6 +306,42 @@ class TestOutputErrors:
             main([*argv, "--output", str(tmp_path / dest)])
         assert exc.value.code == 2
         assert "modsym: error: cannot open --output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--family", "stirling2", "--n-max", "300"),
+        ("eval", "--function", "M", "--s", "2", "--k", "7", "--vars", "1,2,3"),
+        ("verify", "--id", "s2mod_rec", "--profile", "full"),
+        ("verify", "--id", "all"),
+        ("verify", "--seed-check"),
+    ], ids=["table", "eval", "verify-one", "verify-all", "seed-check"])
+    def test_output_opened_before_work(self, monkeypatch, capsys, tmp_path, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before --output was opened")
+
+        monkeypatch.setattr(stirling, "triangle_rows", refuse)
+        monkeypatch.setattr(symfun, "modular_sym", refuse)
+        monkeypatch.setattr(identities, "verify", refuse)
+        monkeypatch.setattr(identities, "mutation_selftest", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", str(tmp_path / "missing-dir" / "out")])
+        assert exc.value.code == 2
+
+
+class TestClosedStdout:
+    def test_early_close_exits_141_silently(self):
+        src = str(Path(modsym.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "modsym.cli", "table", "--family", "stirling2",
+             "--n-max", "300"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.read(20)
+        proc.stdout.close()  # the output is far larger than a pipe buffer
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""
 
 
 class TestDeterminism:

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
+from modsym import identities
+from modsym.cli import main
 from modsym.identities import (
     Ranges,
     check_cell,
@@ -186,6 +189,16 @@ class TestMutations:
         cells = [tuple(c.params.values()) for c in rep.failures]
         assert cells == sorted(cells)
         assert rep.failures[0].params == {"n": 1, "k": 2, "s": 1}
+
+    @pytest.mark.parametrize("key", ["REC4", "S2MOD_REC", "ALLONES", "CONV_HE", "PS1"])
+    def test_seed_check_sees_a_vacuous_checker(self, monkeypatch, capsys, key):
+        # the self-test runs the catalog checker itself, not a copy of it
+        vacuous = dataclasses.replace(
+            identities._CATALOG[key], check=lambda ctx, p, r, **kw: (True, "", "")
+        )
+        monkeypatch.setitem(identities._CATALOG, key, vacuous)
+        assert main(["verify", "--seed-check"]) == 1
+        capsys.readouterr()
 
 
 class TestRhsHelpers:
