@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager
 
@@ -101,12 +102,20 @@ def _destination(path: str | None, parser):
         yield sys.stdout
         sys.stdout.flush()
         return
+    # Opened without O_TRUNC, so a usage error found before any output leaves
+    # an existing file as it was; a regular file is cut at the end of what
+    # was written (ftruncate fails on /dev/null, and a FIFO cannot seek).
     try:
-        fh = open(path, "w", encoding="utf-8", newline="")
+        fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                  encoding="utf-8", newline="")
     except OSError as exc:
         parser.error(f"cannot open --output {path!r}: {exc.strerror}")
     with fh:
-        yield fh
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and fh.tell():
+                fh.truncate()
 
 
 def _json_dump(obj, fh):

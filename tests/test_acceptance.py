@@ -4,6 +4,9 @@ Each test finishes by printing a single `criterion N: PASS` line (visible
 under ``pytest -v -s``); any assertion failure marks the criterion red.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from modsym.enumeration import (
@@ -178,6 +181,16 @@ def test_criterion_09_errata_documentation(full_reports):
     assert zero_cell["corrected"] == "0" and zero_cell["printed"] != "0"
     assert stirling2_mod(3, 1, 2) == 0  # the cell the printed form gets wrong
     done(9, "errata recorded exactly on S2MOD_GF, INV_H, INV_E with failing cells")
+
+
+def test_full_report_bytes_pinned(full_reports):
+    # sha256 of `modsym verify --id all --profile full` stdout: refactors of
+    # the verifier must leave the full report byte-identical
+    text = json.dumps(
+        [r.to_json_obj() for r in full_reports.values()], separators=(", ", ": ")
+    )
+    digest = hashlib.sha256((text + "\n").encode()).hexdigest()
+    assert digest == "ecb12bd38c1c45877496252582d8689233986227d983c1904c500fe34c6f496e"
 
 
 def test_criterion_10_mutation_selftest():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -325,6 +326,46 @@ class TestOutputErrors:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--output", str(tmp_path / "missing-dir" / "out")])
         assert exc.value.code == 2
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--id", "nosuch"),
+        ("eval", "--function", "M", "--k", "-1", "--vars", "1,2"),
+        ("verify", "--id", "ps1", "--n-max", "-1"),
+    ], ids=["unknown-id", "bad-eval", "empty-grid"])
+    def test_late_usage_error_keeps_existing_file(self, capsys, tmp_path, argv):
+        dest = tmp_path / "out"
+        dest.write_text("keep")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", str(dest)])
+        assert exc.value.code == 2
+        assert dest.read_text() == "keep"
+
+    def test_longer_file_rewritten_exactly(self, tmp_path):
+        dest = tmp_path / "out"
+        dest.write_text("x" * 100_000)
+        argv = ["eval", "--function", "M", "--s", "2", "--k", "3", "--vars", "1,2,3"]
+        assert main([*argv, "--output", str(dest)]) == 0
+        assert dest.read_bytes() == b"42\n"
+
+    def test_null_device(self):
+        argv = ["table", "--family", "stirling2", "--n-max", "5"]
+        assert main([*argv, "--output", os.devnull]) == 0
+
+    def test_fifo(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        argv = ["table", "--family", "stirling2", "--n-max", "3"]
+        assert main([*argv, "--output", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b"1\n0 1\n0 1 1\n0 1 3 1\n"]
 
 
 class TestClosedStdout:

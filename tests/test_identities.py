@@ -71,6 +71,15 @@ class TestVerify:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             verify("LMOD", Ranges(n_max=2, k_max=2, s_max=1, ell=3))
+        with pytest.raises(ValueError, match="empty parameter grid for FERMAT"):
+            verify("FERMAT", Ranges(n_max=1, k_max=1, p_list=()))
+
+    @pytest.mark.parametrize("key,cells", [("OMEGA", 22), ("HIGHER_REC", 18)])
+    def test_triangle_grid_honors_k_max(self, key, cells):
+        # quick profile n <= 5 (OMEGA) or 4 (HIGHER_REC) and s <= 2, with k <= 1
+        rep = verify(key, Ranges(k_max=1))
+        assert rep.range["k_max"] == 1
+        assert rep.passed + rep.failed + rep.skipped == cells
 
     def test_ps1_reference_cell(self):
         case = check_cell("PS1", n=4, k=8, s=3)
@@ -171,6 +180,16 @@ class TestErrata:
         first = rep.errata[0]["first_failing_cell"]
         assert first["params"] == {"n": 1, "k": 2, "s": 1}
 
+    @pytest.mark.parametrize("key", ["INV_H", "INV_E"])
+    def test_erratum_runs_the_catalog_checker(self, monkeypatch, key):
+        # a catalog checker whose printed variant passes leaves no failing cell
+        agreeable = dataclasses.replace(
+            identities._CATALOG[key], check=lambda ctx, p, r, **hooks: (0, 0)
+        )
+        monkeypatch.setitem(identities._CATALOG, key, agreeable)
+        rep = verify(key, Ranges(n_max=1, k_max=1, s_max=1))
+        assert rep.errata[0]["first_failing_cell"] is None
+
 
 class TestMutations:
     def test_five_perturbations_all_fail_somewhere(self):
@@ -194,7 +213,7 @@ class TestMutations:
     def test_seed_check_sees_a_vacuous_checker(self, monkeypatch, capsys, key):
         # the self-test runs the catalog checker itself, not a copy of it
         vacuous = dataclasses.replace(
-            identities._CATALOG[key], check=lambda ctx, p, r, **kw: (True, "", "")
+            identities._CATALOG[key], check=lambda ctx, p, r, **kw: (0, 0)
         )
         monkeypatch.setitem(identities._CATALOG, key, vacuous)
         assert main(["verify", "--seed-check"]) == 1
