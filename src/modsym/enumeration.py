@@ -570,7 +570,11 @@ def gen_nested_tuples(
         raise ValueError(f"n must be >= 1, got {n}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
+    if k < 1 - s:
+        raise ValueError(f"k must be >= 1-s = {1 - s}, got {k}")
     target = k + s - 1
+    if target < s or target > n * s:
+        return iter(())
     perms = [cycles_from_one_line(p) for p in permutations(range(1, n + 1))]
 
     def rec(depth: int, chosen: list[CyclePermutation], used: int):

@@ -17,9 +17,10 @@ residue-ell expansion, and so on) are counted as skipped, never as failures.
 hook (a constant whose default is the true value) changed; each must fail
 somewhere, guarding the suite against vacuous passes.  Three entries carry
 an erratum: a commonly printed variant of the statement that provably
-disagrees with the defining specialization (for INV_H and INV_E, the
-entry's own checker with its hook changed).  The variant's first failing
-cell is recorded in the report's ``errata`` field; it is never asserted.
+disagrees with the defining specialization.  Each variant is its entry's
+own checker with one hook changed (for S2MOD_GF the numerator power s in
+place of 1), run over a fixed probe grid; its first failing cell is recorded
+in the report's ``errata`` field and is never asserted.
 
 Grid cells are independent pure computations.  They run one after another
 in grid order and share one memo of library calls per verify call.
@@ -43,7 +44,6 @@ from modsym.enumeration import (
 )
 from modsym.polycore import Polynomial, poly_eval_int
 from modsym.stirling import (
-    _series_coeffs,
     omega_poly,
     stirling1,
     stirling1_higher,
@@ -165,8 +165,12 @@ class IdentityInfo:
     id: str
     anchor: str
     parameters: tuple[str, ...]
-    has_errata: bool = False
     note: str | None = None
+
+    @property
+    def has_errata(self) -> bool:
+        """Whether reports on this entry carry an erratum."""
+        return self.id in _ERRATA
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +187,11 @@ class _Ctx:
     def __init__(self):
         self._memo: dict = {}
 
-    def __call__(self, fn: Callable, *args):
-        key = (fn, args)
+    def __call__(self, fn: Callable, *args, **kwargs):
+        key = (fn, args, *kwargs.items()) if kwargs else (fn, args)
         v = self._memo.get(key)
         if v is None:
-            v = self._memo[key] = fn(*args)
+            v = self._memo[key] = fn(*args, **kwargs)
         return v
 
 
@@ -362,9 +366,9 @@ def _grid_s2mod_gf(r: Ranges) -> Iterator[dict]:
                 yield {"k": k, "s": s, "m": m}
 
 
-def _check_s2mod_gf(ctx: _Ctx, p: dict, r: Ranges):
+def _check_s2mod_gf(ctx: _Ctx, p: dict, r: Ranges, linear: bool = True):
     k, s, m = p["k"], p["s"], p["m"]
-    lhs = ctx(stirling2_mod_series, k, s, r.n_max)[m]
+    lhs = ctx(stirling2_mod_series, k, s, r.n_max, _numerator=1 if linear else s)[m]
     rhs = stirling2_mod(k + m, k, s, "recurrence")
     return lhs, rhs
 
@@ -590,111 +594,93 @@ def _check_omega(ctx: _Ctx, p: dict, r: Ranges):
 
 
 # ---------------------------------------------------------------------------
-# errata probes: evaluate the printed variants, never assert them
+# errata: printed variants, evaluated by the hooked checker, never asserted
 
 
-def _printed_gf_coeffs(k: int, s: int, bound: int) -> list[int]:
-    # numerator variant 1 + r*x^s over the same denominator
-    factors = []
-    for r in range(1, k + 1):
-        f = [0] * (bound + 1)
-        f[0] = 1
-        if s <= bound:
-            f[s] += r
-        step = s + 1
-        g = [0] * (bound + 1)
-        for m in range(0, bound + 1, step):
-            g[m] = r**m
-        factors.append(_series_coeffs([f, g], bound))
-    return _series_coeffs(factors, bound)
+@dataclass(frozen=True)
+class _Erratum:
+    """A printed variant: its entry's checker with ``hooks`` set, probed over
+    ``ranges``.  ``cell`` gives the report form of a cell's parameters;
+    ``zero_cell`` also asks for the first failing cell whose corrected side
+    is 0."""
+
+    printed_form: str
+    corrected_form: str
+    note: str
+    ranges: Ranges
+    hooks: dict
+    cell: Callable[[dict], dict] = dict
+    zero_cell: bool = False
 
 
-def _erratum_s2mod_gf() -> dict:
-    first = None
-    zero_cell = None
-    for k in range(0, 4):
-        for s in range(1, 4):
-            printed = _printed_gf_coeffs(k, s, 8)
-            for m in range(9):
-                truth = stirling2_mod(k + m, k, s, "recurrence")
-                if printed[m] != truth:
-                    cell = {
-                        "params": {"n": k + m, "k": k, "s": s},
-                        "printed": str(printed[m]),
-                        "corrected": str(truth),
-                    }
-                    if first is None:
-                        first = cell
-                    if zero_cell is None and truth == 0 and printed[m] != 0:
-                        zero_cell = cell
-                if first is not None and zero_cell is not None:
-                    break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
-    return {
-        "id": "S2MOD_GF",
-        "printed_form": "prod_{r=1..k} (1 + r*x^s) / (1 - (r*x)^(s+1))",
-        "corrected_form": "prod_{r=1..k} (1 + r*x) / (1 - (r*x)^(s+1))",
-        "first_failing_cell": first,
-        "nonzero_where_zero_cell": zero_cell,
-        "note": (
-            "The numerator variant 1 + r*x^s selects exponents congruent to "
-            "{0, s} mod s+1 and contradicts the defining specialization "
-            "{n,k}^(s) = M_{n-k}^(s)(1..k): at k=1, s=2 it gives 0 at n=2 "
-            "where {2,1}^(2) = 1, and 1 at n=3 where {3,1}^(2) = M_2^(2)(1) "
-            "= 0.  The numerator 1 + r*x reproduces the specialization "
-            "exactly and collapses to the classical column series at s=1."
-        ),
-    }
+_ERRATA: dict[str, _Erratum] = {
+    "S2MOD_GF": _Erratum(
+        "prod_{r=1..k} (1 + r*x^s) / (1 - (r*x)^(s+1))",
+        "prod_{r=1..k} (1 + r*x) / (1 - (r*x)^(s+1))",
+        "The numerator variant 1 + r*x^s selects exponents congruent to "
+        "{0, s} mod s+1 and contradicts the defining specialization "
+        "{n,k}^(s) = M_{n-k}^(s)(1..k): at k=1, s=2 it gives 0 at n=2 "
+        "where {2,1}^(2) = 1, and 1 at n=3 where {3,1}^(2) = M_2^(2)(1) "
+        "= 0.  The numerator 1 + r*x reproduces the specialization "
+        "exactly and collapses to the classical column series at s=1.",
+        Ranges(n_max=8, k_max=3, s_max=3),
+        {"linear": False},
+        cell=lambda p: {"n": p["k"] + p["m"], "k": p["k"], "s": p["s"]},
+        zero_cell=True,
+    ),
+    "INV_H": _Erratum(
+        "h_k(x^s) = sum_j (-1)^j h_j M_{k(s+1)-j}^(s)",
+        "h_k(x^(s+1)) = sum_j (-1)^j h_j M_{k(s+1)-j}^(s)",
+        "The alternating h-convolution inverts the series whose t^{(s+1)k} "
+        "coefficients are h_k in the (s+1)-th powers of the variables, so "
+        "the left side must substitute x_i -> x_i^(s+1); with x_i^s it "
+        "already fails at n=1, k=1, s=1.",
+        Ranges(n_max=2, k_max=2, s_max=2),
+        {"lift": 0},
+    ),
+    "INV_E": _Erratum(
+        "e_k = sum_j (-1)^j e_j M_{k-j(s+1)}^(s)",
+        "e_k = sum_j (-1)^j e_j(x^(s+1)) M_{k-j(s+1)}^(s)",
+        "The alternating e-factor multiplies t in steps of s+1, so it must "
+        "be taken in the (s+1)-th powers of the variables; with plain e_j "
+        "the identity already fails at n=1, k=2, s=1.",
+        Ranges(n_max=2, k_max=4, s_max=2),
+        {"powered": False},
+    ),
+}
 
 
-def _first_failure(key: str, ranges: Ranges, **hooks) -> dict | None:
-    # the printed variant is the catalog checker with hooks changed; stop at
-    # its first failing cell in grid order
-    ident = _hooked(key, **hooks)
+def _erratum_report(key: str, row: _Erratum) -> dict:
+    # stop at the variant's first failing cell in grid order, or for a
+    # zero-cell row at its first failing cell whose corrected side is 0
+    ident = _hooked(key, **row.hooks)
     ctx = _Ctx()
-    for p in ident.grid(ranges):
-        case = _run_cell(ident, ctx, p, ranges)
-        if case.status == "fail":
-            return {"params": case.params, "printed": case.lhs, "corrected": case.rhs}
-    return None
-
-
-def _erratum_inv_h() -> dict:
-    return {
-        "id": "INV_H",
-        "printed_form": "h_k(x^s) = sum_j (-1)^j h_j M_{k(s+1)-j}^(s)",
-        "corrected_form": "h_k(x^(s+1)) = sum_j (-1)^j h_j M_{k(s+1)-j}^(s)",
-        "first_failing_cell": _first_failure(
-            "INV_H", Ranges(n_max=2, k_max=2, s_max=2), lift=0
-        ),
-        "note": (
-            "The alternating h-convolution inverts the series whose t^{(s+1)k} "
-            "coefficients are h_k in the (s+1)-th powers of the variables, so "
-            "the left side must substitute x_i -> x_i^(s+1); with x_i^s it "
-            "already fails at n=1, k=1, s=1."
-        ),
+    first = zero = None
+    for p in ident.grid(row.ranges):
+        case = _run_cell(ident, ctx, p, row.ranges)
+        if case.status != "fail":
+            continue
+        cell = {
+            "params": row.cell(case.params),
+            "printed": case.lhs,
+            "corrected": case.rhs,
+        }
+        if first is None:
+            first = cell
+        if case.rhs == "0":
+            zero = cell
+        if zero is not None or not row.zero_cell:
+            break
+    report = {
+        "id": key,
+        "printed_form": row.printed_form,
+        "corrected_form": row.corrected_form,
+        "first_failing_cell": first,
     }
-
-
-def _erratum_inv_e() -> dict:
-    return {
-        "id": "INV_E",
-        "printed_form": "e_k = sum_j (-1)^j e_j M_{k-j(s+1)}^(s)",
-        "corrected_form": "e_k = sum_j (-1)^j e_j(x^(s+1)) M_{k-j(s+1)}^(s)",
-        "first_failing_cell": _first_failure(
-            "INV_E", Ranges(n_max=2, k_max=4, s_max=2), powered=False
-        ),
-        "note": (
-            "The alternating e-factor multiplies t in steps of s+1, so it must "
-            "be taken in the (s+1)-th powers of the variables; with plain e_j "
-            "the identity already fails at n=1, k=2, s=1."
-        ),
-    }
+    if row.zero_cell:
+        report["nonzero_where_zero_cell"] = zero
+    report["note"] = row.note
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -706,12 +692,11 @@ class _Identity:
     info: IdentityInfo
     grid: Callable[[Ranges], Iterable[dict]]
     check: Callable[[_Ctx, dict, Ranges], tuple[object, object]]
-    errata_probe: Callable[[], dict] | None = None
 
 
 def _hooked(key: str, **hooks) -> _Identity:
     """Catalog entry ``key``, looked up at call time, whose checker runs with
-    the given hooks; it carries no errata probe."""
+    the given hooks."""
     entry = _CATALOG[key]
     return _Identity(entry.info, entry.grid, partial(entry.check, **hooks))
 
@@ -802,11 +787,9 @@ def _make_catalog() -> dict[str, _Identity]:
                 "column series: sum_m {k+m,k}^(s) x^m = "
                 "prod_{r<=k} (1+r x)/(1-(r x)^(s+1)), corrected numerator",
                 ("k", "s", "m"),
-                has_errata=True,
             ),
             _grid_s2mod_gf,
             _check_s2mod_gf,
-            _erratum_s2mod_gf,
         ),
         _Identity(
             IdentityInfo(
@@ -890,11 +873,9 @@ def _make_catalog() -> dict[str, _Identity]:
                 "inverse pair: h_k(x^(s+1)) = sum_j (-1)^j h_j "
                 "M_{k(s+1)-j}^(s), corrected substitution power",
                 ("n", "k", "s"),
-                has_errata=True,
             ),
             lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_inv_h,
-            _erratum_inv_h,
         ),
         _Identity(
             IdentityInfo(
@@ -902,11 +883,9 @@ def _make_catalog() -> dict[str, _Identity]:
                 "inverse pair: e_k = sum_j (-1)^j e_j(x^(s+1)) "
                 "M_{k-j(s+1)}^(s), corrected powered e-factor",
                 ("n", "k", "s"),
-                has_errata=True,
             ),
             lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_inv_e,
-            _erratum_inv_e,
         ),
         _Identity(
             IdentityInfo(
@@ -1106,7 +1085,8 @@ def _run_identity(ident: _Identity, ranges: Ranges) -> VerifyReport:
     passed = sum(1 for c in results if c.status == "pass")
     failed = [c for c in results if c.status == "fail"]
     skipped = sum(1 for c in results if c.status == "skipped")
-    errata = [ident.errata_probe()] if ident.errata_probe else []
+    key = ident.info.id
+    errata = [_erratum_report(key, _ERRATA[key])] if key in _ERRATA else []
     return VerifyReport(
         identity=ident.info.id,
         anchor=ident.info.anchor,

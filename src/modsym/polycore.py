@@ -361,15 +361,20 @@ class TruncatedSeries:
         return f"TruncatedSeries([{', '.join(map(str, self._coeffs))}])"
 
 
+def _cauchy(ca: Sequence, cb: Sequence, bound: int) -> list:
+    # Coefficients 0..bound of the product of two coefficient sequences, over
+    # any ring whose zero is falsy and whose elements add to an int 0; a
+    # coefficient no product reaches stays int 0.
+    out = [0] * (bound + 1)
+    for i, c in enumerate(ca[: bound + 1]):
+        if c:
+            for j, d in enumerate(cb[: bound + 1 - i]):
+                if d:
+                    out[i + j] = out[i + j] + c * d
+    return out
+
+
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the smaller of the two bounds."""
     bound = min(a.degree_bound, b.degree_bound)
-    ca, cb = a.coeffs, b.coeffs
-    out = []
-    for k in range(bound + 1):
-        acc = Polynomial.zero()
-        for j in range(k + 1):
-            if ca[j] and cb[k - j]:
-                acc = acc + ca[j] * cb[k - j]
-        out.append(acc)
-    return TruncatedSeries(out, bound)
+    return TruncatedSeries(_cauchy(a.coeffs, b.coeffs, bound), bound)

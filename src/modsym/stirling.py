@@ -32,7 +32,7 @@ from io import StringIO
 from itertools import count, islice
 import csv
 
-from modsym.polycore import Polynomial, poly_eval_int
+from modsym.polycore import Polynomial, _cauchy, poly_eval_int
 from modsym.symfun import bounded_elem_sym, modular_sym, _residue_parts
 
 TRIANGLE_FAMILIES = (
@@ -245,28 +245,16 @@ def omega_poly(n: int, s: int) -> Polynomial:
     return result
 
 
-def _series_coeffs(factors: list[list[int]], bound: int) -> list[int]:
-    # Truncated product of integer coefficient sequences.
-    out = [0] * (bound + 1)
-    out[0] = 1
-    for f in factors:
-        nxt = [0] * (bound + 1)
-        for i, c in enumerate(out):
-            if c:
-                for j, d in enumerate(f):
-                    if i + j > bound:
-                        break
-                    if d:
-                        nxt[i + j] += c * d
-        out = nxt
-    return out
-
-
-def stirling2_mod_series(k: int, s: int, degree_bound: int) -> list[int]:
+def stirling2_mod_series(
+    k: int, s: int, degree_bound: int, *, _numerator: int = 1
+) -> list[int]:
     """Coefficients of prod_{r=1}^{k} (1+rx)/(1-(rx)^{s+1}) up to x^degree_bound.
 
     Coefficient m equals stirling2_mod(k+m, k, s): the column generating
     function of the modular second-kind triangle in the offset n-k.
+    ``_numerator`` is the power of x in each numerator 1 + r*x^_numerator;
+    only the verifier sets it, to s, to evaluate the commonly printed
+    numerator 1 + r*x^s, which does not give the triangle.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -274,27 +262,15 @@ def stirling2_mod_series(k: int, s: int, degree_bound: int) -> list[int]:
         raise ValueError(f"s must be >= 1, got {s}")
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
-    factors = []
+    out = [1] + [0] * degree_bound
     for r in range(1, k + 1):
-        f = [0] * (degree_bound + 1)
-        for m in _residue_parts(degree_bound, s, 1):
-            f[m] = r**m
-        factors.append(f)
-    return _series_coeffs(factors, degree_bound)
-
-
-def triangle_value(family: str, n: int, k: int, s: int = 1) -> int:
-    """One triangle cell; the k range per row is the one triangle_rows emits."""
-    StirlingQuery(n, k, family, s)
-    if family == "stirling2":
-        return stirling2(n, k)
-    if family == "stirling1":
-        return stirling1(n, k)
-    if family == "stirling2mod":
-        return stirling2_mod(n, k, s) if k <= n else 0
-    if family == "stirling1mod":
-        return stirling1_mod_rec(n, k, s)
-    return stirling1_higher(n, k, s)
+        # (1 + r*x^_numerator) * sum_j (r*x)^{(s+1)j}
+        f = [0] * (degree_bound + _numerator + 1)
+        for base in range(0, degree_bound + 1, s + 1):
+            f[base] = r**base
+            f[base + _numerator] = r ** (base + 1)
+        out = _cauchy(out, f, degree_bound)
+    return out
 
 
 def triangle_rows(family: str, s: int, n_max: int) -> list[list[int]]:

@@ -237,6 +237,12 @@ class TestEnumerate:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--family", "partitions", "--n", "2", "--k", "5"])
         assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "enumerate", "--family", "nested-tuples",
+                "--n", "2", "--k", "-5", "--s", "1",
+            ])
+        assert exc.value.code == 2
 
     def test_missing_parameters_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

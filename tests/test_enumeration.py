@@ -369,7 +369,7 @@ class TestMinSetTuples:
     def test_nested_generator_agrees_with_count(self):
         for n in range(1, 4):
             for s in (2, 3):
-                for k in range(1, (n - 1) * s + 2):
+                for k in range(1 - s, (n - 1) * s + 3):
                     tuples = list(gen_nested_tuples(n, k, s))
                     assert len(tuples) == count_nested_minset_tuples(n, k, s)
                     assert len(set(tuples)) == len(tuples)

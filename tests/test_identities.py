@@ -180,7 +180,7 @@ class TestErrata:
         first = rep.errata[0]["first_failing_cell"]
         assert first["params"] == {"n": 1, "k": 2, "s": 1}
 
-    @pytest.mark.parametrize("key", ["INV_H", "INV_E"])
+    @pytest.mark.parametrize("key", ["S2MOD_GF", "INV_H", "INV_E"])
     def test_erratum_runs_the_catalog_checker(self, monkeypatch, key):
         # a catalog checker whose printed variant passes leaves no failing cell
         agreeable = dataclasses.replace(
@@ -189,6 +189,8 @@ class TestErrata:
         monkeypatch.setitem(identities._CATALOG, key, agreeable)
         rep = verify(key, Ranges(n_max=1, k_max=1, s_max=1))
         assert rep.errata[0]["first_failing_cell"] is None
+        if key == "S2MOD_GF":
+            assert rep.errata[0]["nonzero_where_zero_cell"] is None
 
 
 class TestMutations:

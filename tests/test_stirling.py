@@ -2,7 +2,6 @@ import pytest
 
 from modsym.polycore import Polynomial, poly_eval_int
 from modsym.stirling import (
-    triangle_value,
     StirlingQuery,
     omega_poly,
     stirling1,
@@ -197,6 +196,10 @@ class TestColumnSeries:
         # column k=1, s=2: only offsets congruent to 0 or 1 mod 3 survive
         assert stirling2_mod_series(1, 2, 8) == [1, 1, 0, 1, 1, 0, 1, 1, 0]
 
+    def test_printed_numerator_hook(self):
+        # the printed numerator 1 + r*x^s at k = 1, s = 2: (1 + x^2) / (1 - x^3)
+        assert stirling2_mod_series(1, 2, 5, _numerator=2) == [1, 0, 1, 1, 0, 1]
+
     def test_s1_collapse_to_classical_columns(self):
         for k in range(7):
             coeffs = stirling2_mod_series(k, 1, 19)
@@ -250,13 +253,6 @@ class TestTriangleSerialization:
             StirlingQuery(-1, 0, "stirling2")
         with pytest.raises(ValueError):
             triangle_rows("stirling2", 0, 3)
-
-    def test_single_cell_lookup(self):
-        assert triangle_value("stirling2mod", 5, 2, 2) == 9
-        assert triangle_value("stirling1mod", 4, 2, 1) == 11
-        assert triangle_value("stirling1higher", 3, 2, 2) == 5
-        assert triangle_value("stirling2", 4, 2) == 7
-        assert triangle_value("stirling1", 4, 2) == 11
 
 
 class TestLargeTables:
