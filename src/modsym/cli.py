@@ -201,22 +201,36 @@ def _require(parser, args, names):
 
 
 def _enum_stream(args, parser):
+    # (objects, text form, JSON form); _cmd_enumerate builds only the one asked
+    # for.  The generators are looked up on the module at call time, so that a
+    # wrapper bound over enumeration.gen_* (the perfbench tracer) sees the call.
     fam = args.family
     if fam in ("paths", "tilings"):
         _require(parser, args, ("n", "k", "s"))
-        gen = (
-            enumeration.gen_lattice_paths(args.n, args.k, args.s)
-            if fam == "paths"
-            else enumeration.gen_tilings(args.n, args.k, args.s)
-        )
         if fam == "paths":
-            return gen, lambda o: (
-                f"{o.steps} {o.weight()}",
-                {"steps": o.steps, "weight": str(o.weight())},
-            )
-        return gen, lambda o: (
-            f"{o.cells} {o.weight()}",
-            {"cells": o.cells, "weight": str(o.weight())},
+            gen, key = enumeration.gen_lattice_paths(args.n, args.k, args.s), "steps"
+        else:
+            gen, key = enumeration.gen_tilings(args.n, args.k, args.s), "cells"
+        return (
+            gen,
+            lambda o: f"{o} {o.weight()}",
+            lambda o: {key: str(o), "weight": str(o.weight())},
+        )
+    if fam == "perms":
+        _require(parser, args, ("n", "k"))
+        gen = enumeration.gen_cycle_perms(args.n, args.k)
+        return (
+            gen,
+            str,
+            lambda o: {"cycles": [list(c) for c in o.cycles], "text": str(o)},
+        )
+    if fam == "nested-tuples":
+        _require(parser, args, ("n", "k", "s"))
+        gen = enumeration.gen_nested_tuples(args.n, args.k, args.s)
+        return (
+            gen,
+            lambda o: " | ".join(str(cp) for cp in o),
+            lambda o: {"perms": [str(cp) for cp in o]},
         )
     if fam == "partitions":
         _require(parser, args, ("n", "k"))
@@ -224,32 +238,15 @@ def _enum_stream(args, parser):
     elif fam == "partitions-mod":
         _require(parser, args, ("n", "k", "s"))
         gen = enumeration.gen_partitions_mod(args.n, args.k, args.s)
-    elif fam == "partitions-bounded":
+    else:  # partitions-bounded
         _require(parser, args, ("board", "blocks", "s"))
         gen = enumeration.gen_partitions_bounded(args.board, args.blocks, args.s)
-    elif fam == "perms":
-        _require(parser, args, ("n", "k"))
-        gen = enumeration.gen_cycle_perms(args.n, args.k)
-        return gen, lambda o: (
-            str(o),
-            {"cycles": [list(c) for c in o.cycles], "text": str(o)},
-        )
-    else:  # nested-tuples
-        _require(parser, args, ("n", "k", "s"))
-        gen = enumeration.gen_nested_tuples(args.n, args.k, args.s)
-        return gen, lambda o: (
-            " | ".join(str(cp) for cp in o),
-            {"perms": [str(cp) for cp in o]},
-        )
-    return gen, lambda o: (
-        str(o),
-        {"blocks": [list(b) for b in o.blocks], "text": str(o)},
-    )
+    return gen, str, lambda o: {"blocks": [list(b) for b in o.blocks], "text": str(o)}
 
 
 def _cmd_enumerate(args, parser) -> int:
     try:
-        gen, render = _enum_stream(args, parser)
+        gen, as_text, as_json = _enum_stream(args, parser)
     except ValueError as exc:
         parser.error(str(exc))
     params = {
@@ -262,7 +259,7 @@ def _cmd_enumerate(args, parser) -> int:
         try:
             if args.format == "text":
                 for obj in gen:
-                    fh.write(render(obj)[0] + "\n")
+                    fh.write(as_text(obj) + "\n")
                     count += 1
                 fh.write(f"count: {count}\n")
             else:
@@ -273,7 +270,7 @@ def _cmd_enumerate(args, parser) -> int:
                 for obj in gen:
                     if count:
                         fh.write(", ")
-                    json.dump(render(obj)[1], fh, separators=(", ", ": "))
+                    json.dump(as_json(obj), fh, separators=(", ", ": "))
                     count += 1
                 fh.write(f'], "count": {count}}}\n')
         except ValueError as exc:

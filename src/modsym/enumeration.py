@@ -15,13 +15,21 @@ Generators yield lazily in a fixed canonical order (paths by step string
 with H < V, partitions by restricted-growth string, permutations by one-line
 form), so output is deterministic and duplicate-free.  Counting functions
 walk the same enumerations without materializing objects.
+
+The filtered partition generators and the partition counters prune the
+restricted-growth tree by one rule: a difference entry is checked the moment
+it becomes fixed, and a failed entry cuts its subtree.  The counter is its
+own leaf-counting walk rather than a count over the generator, because
+counting the yielded strings took about twice as long over the full
+PART_MOD, PART_ZERO and S1MOD_PART grids.  All permutation families read S_n
+from one walk, ``_all_cycle_perms``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import permutations, product
 
 from modsym.polycore import Polynomial
@@ -90,34 +98,35 @@ def diff_vector(p: SetPartition) -> tuple[int, ...]:
     ) + (n - minima[-1],)
 
 
-def _iter_rgs(n: int, k: int) -> Iterator[list[int]]:
+def _iter_rgs(n: int, k: int, entry_ok=None) -> Iterator[list[int]]:
     # Restricted growth strings for partitions of [n] into exactly k blocks,
     # lexicographic order.  The yielded buffer is reused: copy before keeping.
+    # With entry_ok, only strings whose difference entries all pass it are
+    # walked, by the rule of _count_partitions_by_diffs: d_j is checked when
+    # block j+1 opens (element i+1 opening it gives d_j = i - last minimum),
+    # d_k at the leaf.  Existing blocks are tried before the new one, so the
+    # order stays lexicographic.  No block opens past k, and an existing one
+    # is reused only while the positions left can still open the rest, so
+    # every leaf has exactly k blocks.
     if k < 0 or n < 0 or k > n:
         return
-    if n == 0:
-        yield []
-        return
-    if k == 0:
-        return
+    ok = entry_ok or (lambda d: True)
     buf = [0] * n
 
-    def rec(i: int, used: int) -> Iterator[list[int]]:
+    def rec(i: int, used: int, last_min: int) -> Iterator[list[int]]:
         if i == n:
-            if used == k:
+            if ok(n - last_min):
                 yield buf
             return
-        remaining = n - i
-        # existing blocks, only if k is still reachable without this position
-        if used + remaining - 1 >= k:
+        if used + n - i - 1 >= k:
             for b in range(used):
                 buf[i] = b
-                yield from rec(i + 1, used)
-        if used < k:
+                yield from rec(i + 1, used, last_min)
+        if used < k and (used == 0 or ok(i - last_min)):
             buf[i] = used
-            yield from rec(i + 1, used + 1)
+            yield from rec(i + 1, used + 1, i + 1)
 
-    yield from rec(0, 0)
+    yield from rec(0, 0, 0)
 
 
 def _partition_from_rgs(w: Sequence[int]) -> SetPartition:
@@ -128,21 +137,6 @@ def _partition_from_rgs(w: Sequence[int]) -> SetPartition:
         else:
             blocks[b].append(e)
     return SetPartition(tuple(tuple(b) for b in blocks))
-
-
-def _minima_of_rgs(w: Sequence[int]) -> list[int]:
-    minima = []
-    for e, b in enumerate(w, start=1):
-        if b == len(minima):
-            minima.append(e)
-    return minima
-
-
-def _diffs_of_rgs(w: Sequence[int]) -> list[int]:
-    minima = _minima_of_rgs(w)
-    return [minima[i + 1] - minima[i] - 1 for i in range(len(minima) - 1)] + [
-        len(w) - minima[-1]
-    ]
 
 
 def gen_set_partitions(n: int, k: int) -> Iterator[SetPartition]:
@@ -156,26 +150,25 @@ def gen_partitions_mod(n: int, k: int, s: int) -> Iterator[SetPartition]:
     """Partitions of [n] into k blocks with every d_i congruent to 0 or 1 mod s+1."""
     _check_nks(n, k, s)
     step = s + 1
-    return (
-        _partition_from_rgs(w)
-        for w in _iter_rgs(n, k)
-        if all(d % step <= 1 for d in _diffs_of_rgs(w))
-    )
+    return (_partition_from_rgs(w) for w in _iter_rgs(n, k, lambda d: d % step <= 1))
 
 
 def gen_partitions_bounded(
     n_board: int, n_blocks: int, s_bound: int
 ) -> Iterator[SetPartition]:
     """Partitions of [n_board] into n_blocks blocks with every d_i <= s_bound."""
+    _check_bounded(n_board, n_blocks, s_bound)
+    return (
+        _partition_from_rgs(w)
+        for w in _iter_rgs(n_board, n_blocks, lambda d: d <= s_bound)
+    )
+
+
+def _check_bounded(n_board: int, n_blocks: int, s_bound: int):
     if n_board < n_blocks or n_blocks < 1:
         raise ValueError(f"need n_board >= n_blocks >= 1, got ({n_board}, {n_blocks})")
     if s_bound < 0:
         raise ValueError(f"s_bound must be >= 0, got {s_bound}")
-    return (
-        _partition_from_rgs(w)
-        for w in _iter_rgs(n_board, n_blocks)
-        if all(d <= s_bound for d in _diffs_of_rgs(w))
-    )
 
 
 def _check_nks(n: int, k: int, s: int):
@@ -227,10 +220,7 @@ def count_partitions_zeromod(n: int, k: int, s: int) -> int:
 
 def count_partitions_bounded(n_board: int, n_blocks: int, s_bound: int) -> int:
     """Count of partitions of [n_board] into n_blocks blocks with all d_i <= s_bound."""
-    if n_board < n_blocks or n_blocks < 1:
-        raise ValueError(f"need n_board >= n_blocks >= 1, got ({n_board}, {n_blocks})")
-    if s_bound < 0:
-        raise ValueError(f"s_bound must be >= 0, got {s_bound}")
+    _check_bounded(n_board, n_blocks, s_bound)
     return _count_partitions_by_diffs(n_board, n_blocks, lambda d: d <= s_bound)
 
 
@@ -271,8 +261,36 @@ def partitions_from_composition(a: Sequence[int]) -> list[SetPartition]:
 # lattice paths and tilings
 
 
+class _LevelWord:
+    # Body shared by LatticePath and Tiling: a word, held in the subclass's
+    # one field and returned by its __str__, over a weighted letter and a
+    # separator letter (_letters, in that order).  Each separator closes a
+    # level; the level exponents count the weighted letters per level.
+    _letters = ""
+
+    def __post_init__(self):
+        word = str(self)
+        if set(word) - set(self._letters):
+            name, over = fields(self)[0].name, "/".join(self._letters)
+            raise ValueError(f"{name} must be over {over}, got {word!r}")
+
+    @property
+    def k(self) -> int:
+        return str(self).count(self._letters[0])
+
+    @property
+    def n(self) -> int:
+        return str(self).count(self._letters[1]) + 1
+
+    def level_exponents(self) -> tuple[int, ...]:
+        return tuple(len(run) for run in str(self).split(self._letters[1]))
+
+    def weight(self) -> Polynomial:
+        return Polynomial.monomial(self.level_exponents())
+
+
 @dataclass(frozen=True)
-class LatticePath:
+class LatticePath(_LevelWord):
     """Steps over H (east) and V (north) from (0,0) to (k, n-1).
 
     Each H step at height y carries the weight x_{y+1}; the level exponent
@@ -280,71 +298,25 @@ class LatticePath:
     """
 
     steps: str
-
-    def __post_init__(self):
-        if set(self.steps) - {"H", "V"}:
-            raise ValueError(f"steps must be over H/V, got {self.steps!r}")
-
-    @property
-    def k(self) -> int:
-        return self.steps.count("H")
-
-    @property
-    def n(self) -> int:
-        return self.steps.count("V") + 1
-
-    def level_exponents(self) -> tuple[int, ...]:
-        counts = [0]
-        for step in self.steps:
-            if step == "H":
-                counts[-1] += 1
-            else:
-                counts.append(0)
-        return tuple(counts)
-
-    def weight(self) -> Polynomial:
-        return Polynomial.monomial(self.level_exponents())
+    _letters = "HV"
 
     def __str__(self) -> str:
         return self.steps
 
 
 @dataclass(frozen=True)
-class Tiling:
+class Tiling(_LevelWord):
     """Board cells over B (black) and G (gray).
 
     Each black cell with m gray cells to its left carries the weight x_{m+1}.
     """
 
     cells: str
-
-    def __post_init__(self):
-        if set(self.cells) - {"B", "G"}:
-            raise ValueError(f"cells must be over B/G, got {self.cells!r}")
-
-    @property
-    def k(self) -> int:
-        return self.cells.count("B")
-
-    @property
-    def n(self) -> int:
-        return self.cells.count("G") + 1
-
-    def level_exponents(self) -> tuple[int, ...]:
-        counts = [0]
-        for cell in self.cells:
-            if cell == "B":
-                counts[-1] += 1
-            else:
-                counts.append(0)
-        return tuple(counts)
+    _letters = "BG"
 
     def run_lengths(self) -> tuple[int, ...]:
         """Lengths of the maximal runs of black cells, in board order."""
         return tuple(len(r) for r in self.cells.split("G") if r)
-
-    def weight(self) -> Polynomial:
-        return Polynomial.monomial(self.level_exponents())
 
     def __str__(self) -> str:
         return self.cells
@@ -484,26 +456,23 @@ def cycles_from_one_line(perm: Sequence[int]) -> CyclePermutation:
     return CyclePermutation(tuple(cycles))
 
 
+def _all_cycle_perms(n: int) -> Iterator[CyclePermutation]:
+    # The one walk over S_n, by one-line lex order.
+    return map(cycles_from_one_line, permutations(range(1, n + 1)))
+
+
 def gen_cycle_perms(n: int, k: int) -> Iterator[CyclePermutation]:
     """All permutations of [n] with exactly k cycles, by one-line lex order."""
     if n < k or k < 0:
         raise ValueError(f"need n >= k >= 0, got ({n}, {k})")
-    return (
-        cp
-        for perm in permutations(range(1, n + 1))
-        for cp in (cycles_from_one_line(perm),)
-        if cp.num_cycles == k
-    )
+    return (cp for cp in _all_cycle_perms(n) if cp.num_cycles == k)
 
 
 def _min_set_tally(n: int, k: int | None = None) -> Counter:
     # Multiplicity of each cycle-minima set over S_n (or over the k-cycle slice).
-    tally: Counter = Counter()
-    for perm in permutations(range(1, n + 1)):
-        cp = cycles_from_one_line(perm)
-        if k is None or cp.num_cycles == k:
-            tally[cp.min_set()] += 1
-    return tally
+    return Counter(
+        cp.min_set() for cp in _all_cycle_perms(n) if k is None or cp.num_cycles == k
+    )
 
 
 def count_equal_minset_tuples(n: int, k: int, s: int) -> int:
@@ -519,13 +488,9 @@ def count_equal_minset_tuples(n: int, k: int, s: int) -> int:
     return sum(c**s for c in _min_set_tally(n, k).values())
 
 
-def count_nested_minset_tuples(n: int, k: int, s: int) -> int:
-    """s-tuples (p_1..p_s) of permutations of [n] with min-sets nested
-    downward (min(p_i) inside min(p_{i-1})) and total minima count k+s-1.
-
-    Counts over min-set classes of the enumerated permutations, with a memo
-    over (position, current set, minima still needed).
-    """
+def _nested_target(n: int, k: int, s: int) -> int | None:
+    # Total minima count k+s-1 of a nested tuple; None when no tuple of s
+    # permutations of [n] (1..n minima each) reaches it.
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if s < 1:
@@ -533,7 +498,18 @@ def count_nested_minset_tuples(n: int, k: int, s: int) -> int:
     if k < 1 - s:
         raise ValueError(f"k must be >= 1-s = {1 - s}, got {k}")
     target = k + s - 1
-    if target < s or target > n * s:
+    return target if s <= target <= n * s else None
+
+
+def count_nested_minset_tuples(n: int, k: int, s: int) -> int:
+    """s-tuples (p_1..p_s) of permutations of [n] with min-sets nested
+    downward (min(p_i) inside min(p_{i-1})) and total minima count k+s-1.
+
+    Counts over min-set classes of the enumerated permutations, with a memo
+    over (position, current set, minima still needed).
+    """
+    target = _nested_target(n, k, s)
+    if target is None:
         return 0
     tally = _min_set_tally(n)
     sets = sorted(tally, key=sorted)
@@ -566,16 +542,10 @@ def gen_nested_tuples(
 ) -> Iterator[tuple[CyclePermutation, ...]]:
     """The tuples behind count_nested_minset_tuples, in lexicographic order
     of the one-line forms.  Exhaustive: intended for small n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if k < 1 - s:
-        raise ValueError(f"k must be >= 1-s = {1 - s}, got {k}")
-    target = k + s - 1
-    if target < s or target > n * s:
+    target = _nested_target(n, k, s)
+    if target is None:
         return iter(())
-    perms = [cycles_from_one_line(p) for p in permutations(range(1, n + 1))]
+    perms = list(_all_cycle_perms(n))
 
     def rec(depth: int, chosen: list[CyclePermutation], used: int):
         if depth == s:

@@ -692,13 +692,15 @@ class _Identity:
     info: IdentityInfo
     grid: Callable[[Ranges], Iterable[dict]]
     check: Callable[[_Ctx, dict, Ranges], tuple[object, object]]
+    quick: Ranges  # per-identity bounds of the two profiles
+    full: Ranges
 
 
 def _hooked(key: str, **hooks) -> _Identity:
     """Catalog entry ``key``, looked up at call time, whose checker runs with
     the given hooks."""
     entry = _CATALOG[key]
-    return _Identity(entry.info, entry.grid, partial(entry.check, **hooks))
+    return replace(entry, check=partial(entry.check, **hooks))
 
 
 def _make_catalog() -> dict[str, _Identity]:
@@ -712,6 +714,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             _grid_nks,
             _check_gf_m,
+            Ranges(n_max=3, k_max=6, s_max=2),
+            Ranges(n_max=5, k_max=10, s_max=3),
         ),
         _Identity(
             IdentityInfo(
@@ -722,6 +726,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_nks(r, n_lo=1),
             _check_rec3,
+            Ranges(n_max=3, k_max=6, s_max=2),
+            Ranges(n_max=8, k_max=8, s_max=4),
         ),
         _Identity(
             IdentityInfo(
@@ -732,6 +738,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_nks(r, n_lo=1),
             _check_rec4,
+            Ranges(n_max=3, k_max=6, s_max=2),
+            Ranges(n_max=8, k_max=8, s_max=4),
         ),
         _Identity(
             IdentityInfo(
@@ -741,6 +749,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_nks(r, n_lo=1),
             lambda ctx, p, r: _check_weight_sum(gen_lattice_paths, ctx, p),
+            Ranges(n_max=3, k_max=5, s_max=2),
+            Ranges(n_max=4, k_max=8, s_max=3),
         ),
         _Identity(
             IdentityInfo(
@@ -750,6 +760,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_nks(r, n_lo=1),
             lambda ctx, p, r: _check_weight_sum(gen_tilings, ctx, p),
+            Ranges(n_max=3, k_max=5, s_max=2),
+            Ranges(n_max=4, k_max=8, s_max=3),
         ),
         _Identity(
             IdentityInfo(
@@ -760,6 +772,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_nks(r, n_lo=1),
             _check_allones,
+            Ranges(n_max=4, k_max=6, s_max=2),
+            Ranges(n_max=6, k_max=12, s_max=4),
         ),
         _Identity(
             IdentityInfo(
@@ -770,6 +784,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             _grid_triangle,
             _check_s2mod_spec,
+            Ranges(n_max=8, s_max=2),
+            Ranges(n_max=20, s_max=4),
         ),
         _Identity(
             IdentityInfo(
@@ -780,6 +796,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_triangle(r, k_lo=1),
             _check_s2mod_rec,
+            Ranges(n_max=8, s_max=2),
+            Ranges(n_max=20, s_max=4),
         ),
         _Identity(
             IdentityInfo(
@@ -790,6 +808,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             _grid_s2mod_gf,
             _check_s2mod_gf,
+            Ranges(n_max=8, k_max=3, s_max=2),
+            Ranges(n_max=20, k_max=6, s_max=4),
         ),
         _Identity(
             IdentityInfo(
@@ -799,6 +819,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_triangle(r, k_lo=1),
             _check_part_mod,
+            Ranges(n_max=6, s_max=2),
+            Ranges(n_max=10, s_max=4),
         ),
         _Identity(
             IdentityInfo(
@@ -809,6 +831,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_triangle(r, k_lo=1),
             _check_part_zero,
+            Ranges(n_max=6, s_max=2),
+            Ranges(n_max=10, s_max=4),
         ),
         _Identity(
             IdentityInfo(
@@ -820,6 +844,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             _grid_nks,
             _check_ps1,
+            Ranges(n_max=3, k_max=5, s_max=2),
+            Ranges(n_max=5, k_max=10, s_max=4),
         ),
         _Identity(
             IdentityInfo(
@@ -830,6 +856,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             _grid_fermat,
             _check_fermat,
+            Ranges(n_max=3, k_max=5, p_list=(2, 3)),
+            Ranges(n_max=5, k_max=10, p_list=(2, 3, 5)),
         ),
         _Identity(
             IdentityInfo(
@@ -846,6 +874,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             _grid_lmod,
             _check_lmod,
+            Ranges(n_max=3, k_max=5, s_max=2),
+            Ranges(n_max=4, k_max=8, s_max=4),
         ),
         _Identity(
             IdentityInfo(
@@ -856,6 +886,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_evanish,
+            Ranges(n_max=2, k_max=4, s_max=2),
+            Ranges(n_max=3, k_max=6, s_max=4),
         ),
         _Identity(
             IdentityInfo(
@@ -866,6 +898,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_nks(r, n_lo=1),
             _check_conv_he,
+            Ranges(n_max=3, k_max=5, s_max=2),
+            Ranges(n_max=8, k_max=8, s_max=4),
         ),
         _Identity(
             IdentityInfo(
@@ -876,6 +910,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_inv_h,
+            Ranges(n_max=2, k_max=3, s_max=2),
+            Ranges(n_max=3, k_max=4, s_max=3),
         ),
         _Identity(
             IdentityInfo(
@@ -886,6 +922,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_inv_e,
+            Ranges(n_max=3, k_max=5, s_max=2),
+            Ranges(n_max=3, k_max=7, s_max=3),
         ),
         _Identity(
             IdentityInfo(
@@ -896,6 +934,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_inv_zero,
+            Ranges(n_max=3, k_max=5, s_max=2),
+            Ranges(n_max=3, k_max=7, s_max=3),
         ),
         _Identity(
             IdentityInfo(
@@ -906,6 +946,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_eh_me,
+            Ranges(n_max=2, k_max=4, s_max=2),
+            Ranges(n_max=3, k_max=6, s_max=3),
         ),
         _Identity(
             IdentityInfo(
@@ -916,6 +958,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             _grid_s1mod_def,
             _check_s1mod_def,
+            Ranges(n_max=4, s_max=2),
+            Ranges(n_max=6, s_max=3),
         ),
         _Identity(
             IdentityInfo(
@@ -926,6 +970,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             _grid_s1mod_rec,
             _check_s1mod_rec,
+            Ranges(n_max=5, s_max=2),
+            Ranges(n_max=10, s_max=4),
         ),
         _Identity(
             IdentityInfo(
@@ -936,6 +982,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             _grid_s1mod_part,
             _check_s1mod_part,
+            Ranges(n_max=3, s_max=2, board_max=8),
+            Ranges(n_max=5, s_max=3, board_max=12),
         ),
         _Identity(
             IdentityInfo(
@@ -946,6 +994,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             lambda r: _grid_s1mod_rec(r, nested=True),
             _check_nested,
+            Ranges(n_max=3, s_max=2),
+            Ranges(n_max=4, s_max=3),
         ),
         _Identity(
             IdentityInfo(
@@ -956,6 +1006,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             _grid_triangle,
             _check_higher_rec,
+            Ranges(n_max=4, s_max=2),
+            Ranges(n_max=5, s_max=3),
         ),
         _Identity(
             IdentityInfo(
@@ -966,6 +1018,8 @@ def _make_catalog() -> dict[str, _Identity]:
             ),
             _grid_triangle,
             _check_omega,
+            Ranges(n_max=5, s_max=2),
+            Ranges(n_max=10, s_max=3),
         ),
     ]
     return {e.info.id: e for e in entries}
@@ -973,65 +1027,6 @@ def _make_catalog() -> dict[str, _Identity]:
 
 _CATALOG = _make_catalog()
 
-
-# per-identity bounds for the two profiles
-_QUICK: dict[str, Ranges] = {
-    "GF_M": Ranges(n_max=3, k_max=6, s_max=2),
-    "REC3": Ranges(n_max=3, k_max=6, s_max=2),
-    "REC4": Ranges(n_max=3, k_max=6, s_max=2),
-    "PATHS": Ranges(n_max=3, k_max=5, s_max=2),
-    "TILINGS": Ranges(n_max=3, k_max=5, s_max=2),
-    "ALLONES": Ranges(n_max=4, k_max=6, s_max=2),
-    "S2MOD_SPEC": Ranges(n_max=8, s_max=2),
-    "S2MOD_REC": Ranges(n_max=8, s_max=2),
-    "S2MOD_GF": Ranges(n_max=8, k_max=3, s_max=2),
-    "PART_MOD": Ranges(n_max=6, s_max=2),
-    "PART_ZERO": Ranges(n_max=6, s_max=2),
-    "PS1": Ranges(n_max=3, k_max=5, s_max=2),
-    "FERMAT": Ranges(n_max=3, k_max=5, p_list=(2, 3)),
-    "LMOD": Ranges(n_max=3, k_max=5, s_max=2),
-    "EVANISH": Ranges(n_max=2, k_max=4, s_max=2),
-    "CONV_HE": Ranges(n_max=3, k_max=5, s_max=2),
-    "INV_H": Ranges(n_max=2, k_max=3, s_max=2),
-    "INV_E": Ranges(n_max=3, k_max=5, s_max=2),
-    "INV_ZERO": Ranges(n_max=3, k_max=5, s_max=2),
-    "EH_ME": Ranges(n_max=2, k_max=4, s_max=2),
-    "S1MOD_DEF": Ranges(n_max=4, s_max=2),
-    "S1MOD_REC": Ranges(n_max=5, s_max=2),
-    "S1MOD_PART": Ranges(n_max=3, s_max=2, board_max=8),
-    "NESTED": Ranges(n_max=3, s_max=2),
-    "HIGHER_REC": Ranges(n_max=4, s_max=2),
-    "OMEGA": Ranges(n_max=5, s_max=2),
-}
-
-_FULL: dict[str, Ranges] = {
-    "GF_M": Ranges(n_max=5, k_max=10, s_max=3),
-    "REC3": Ranges(n_max=8, k_max=8, s_max=4),
-    "REC4": Ranges(n_max=8, k_max=8, s_max=4),
-    "PATHS": Ranges(n_max=4, k_max=8, s_max=3),
-    "TILINGS": Ranges(n_max=4, k_max=8, s_max=3),
-    "ALLONES": Ranges(n_max=6, k_max=12, s_max=4),
-    "S2MOD_SPEC": Ranges(n_max=20, s_max=4),
-    "S2MOD_REC": Ranges(n_max=20, s_max=4),
-    "S2MOD_GF": Ranges(n_max=20, k_max=6, s_max=4),
-    "PART_MOD": Ranges(n_max=10, s_max=4),
-    "PART_ZERO": Ranges(n_max=10, s_max=4),
-    "PS1": Ranges(n_max=5, k_max=10, s_max=4),
-    "FERMAT": Ranges(n_max=5, k_max=10, p_list=(2, 3, 5)),
-    "LMOD": Ranges(n_max=4, k_max=8, s_max=4),
-    "EVANISH": Ranges(n_max=3, k_max=6, s_max=4),
-    "CONV_HE": Ranges(n_max=8, k_max=8, s_max=4),
-    "INV_H": Ranges(n_max=3, k_max=4, s_max=3),
-    "INV_E": Ranges(n_max=3, k_max=7, s_max=3),
-    "INV_ZERO": Ranges(n_max=3, k_max=7, s_max=3),
-    "EH_ME": Ranges(n_max=3, k_max=6, s_max=3),
-    "S1MOD_DEF": Ranges(n_max=6, s_max=3),
-    "S1MOD_REC": Ranges(n_max=10, s_max=4),
-    "S1MOD_PART": Ranges(n_max=5, s_max=3, board_max=12),
-    "NESTED": Ranges(n_max=4, s_max=3),
-    "HIGHER_REC": Ranges(n_max=5, s_max=3),
-    "OMEGA": Ranges(n_max=10, s_max=3),
-}
 
 
 def list_identities() -> list[IdentityInfo]:
@@ -1042,8 +1037,7 @@ def list_identities() -> list[IdentityInfo]:
 def profile_ranges(identity_id: str, profile: str = "quick") -> Ranges:
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
-    table = _QUICK if profile == "quick" else _FULL
-    return table[_normalize_id(identity_id)]
+    return getattr(_CATALOG[_normalize_id(identity_id)], profile)
 
 
 def _normalize_id(identity_id: str) -> str:
@@ -1059,9 +1053,8 @@ def check_cell(
     identity_id: str, ranges: Ranges | None = None, **params
 ) -> IdentityCase:
     """Evaluate a single grid cell of an identity (used for spot checks)."""
-    key = _normalize_id(identity_id)
-    ident = _CATALOG[key]
-    base = _QUICK[key]
+    ident = _CATALOG[_normalize_id(identity_id)]
+    base = ident.quick
     effective = ranges.merged_over(base) if ranges is not None else base
     return _run_cell(ident, _Ctx(), params, effective)
 

@@ -314,7 +314,7 @@ def triangle_csv(rows: list[list[int]]) -> str:
 def triangle_from_csv(text: str) -> list[list[int]]:
     """Inverse of triangle_csv (used by the round-trip contract)."""
     reader = csv.reader(StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
     if header != ["n", "k", "value"]:
         raise ValueError(f"unexpected CSV header {header!r}")
     rows: list[list[int]] = []

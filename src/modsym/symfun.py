@@ -185,8 +185,6 @@ def modular_sym(n: int, k: int, s: int, method: str = "enumeration") -> Polynomi
     if method == "enumeration":
         return lmodular_sym(n, k, s, 1)
     if method == "recurrence":
-        if n == 0:
-            return Polynomial.one() if k == 0 else Polynomial.zero()
         return _modular_rec(n, k, s, {})
     if method == "convolution":
         return _modular_conv(n, k, s, s + 1)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import modsym
-from modsym import identities, stirling, symfun
+from modsym import enumeration, identities, stirling, symfun
 from modsym.cli import main
 
 
@@ -65,6 +65,15 @@ df4f8216e4f1634b61095f461a6ec3e78be99820f28b4f8ae75f577a12799667  enumerate --fa
 23daffea3ef626217ce3b85b944b060ea2b2827897d45b3e70a8094cc72c6f93  enumerate --family perms --n 5 --k 2
 8a8e66291f6fdfeeee6770da6a96d45c92c67c7d9d59d11d31ad04c0043254f9  enumerate --family nested-tuples --n 3 --k 3 --s 2 --format json
 b2528670a4e22e497f59e359d2ad188dfcc64c951a355d9d590240c543b8953f  enumerate --family partitions-bounded --board 6 --blocks 3 --s 2
+ccbe156b4c4f2deb84d4dfaf9be62f3c1d15bf9de58d237a7fc5f342b2bb8d8a  enumerate --family partitions-mod --n 6 --k 3 --s 2 --format json
+9520872d446a4727c9d8aeb04f2768e1f51e642643ea263984f1f65462076162  enumerate --family paths --n 3 --k 5 --s 2
+51398ad7b383633a9510cb137ce80d667c4262f8e6c01d53d5fec928184abcd8  enumerate --family tilings --n 3 --k 5 --s 2
+c89682498bb8e13191f9013db886ed47148be1d25e455ab1a8df2c372782e0f7  enumerate --family tilings --n 3 --k 5 --s 2 --format json
+b347fc8ff029d2e490fbd991e897fc0f8c16dd2e1c4952b8a8401bf048e0eeff  enumerate --family partitions --n 6 --k 3
+2706bd3256e3acb7962da4c11607d022786f314b794df1908b6b5c056c85a651  enumerate --family partitions --n 6 --k 3 --format json
+ba2ab36479730e9255689639ba5d090138f446fcb2eacd6636cf2590b363d6fc  enumerate --family perms --n 5 --k 2 --format json
+f53390db8f0bd581eb1c5d209f861c178ec6db77b8418bcb28e336fe00f3c3c4  enumerate --family nested-tuples --n 3 --k 3 --s 2
+fdcc1ff491926e8195a0243821017b6b7429d046a56950173b92c9fd0fb02b6a  enumerate --family partitions-bounded --board 6 --blocks 3 --s 2 --format json
 """.splitlines()]
 
 
@@ -248,6 +257,33 @@ class TestEnumerate:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--family", "paths", "--n", "3"])
         assert exc.value.code == 2
+
+    # The CLI must call each generator through the module attribute at request
+    # time: perfbench's tracer rebinds enumeration.gen_* to time the stream.
+    @pytest.mark.parametrize("gen_name,argv", [
+        ("gen_lattice_paths", "paths --n 3 --k 2 --s 1"),
+        ("gen_tilings", "tilings --n 3 --k 2 --s 1"),
+        ("gen_set_partitions", "partitions --n 4 --k 2"),
+        ("gen_partitions_mod", "partitions-mod --n 4 --k 2 --s 1"),
+        ("gen_partitions_bounded", "partitions-bounded --board 4 --blocks 2 --s 1"),
+        ("gen_cycle_perms", "perms --n 3 --k 2"),
+        ("gen_nested_tuples", "nested-tuples --n 2 --k 1 --s 2"),
+    ])
+    def test_generators_called_through_module(
+        self, monkeypatch, capsys, gen_name, argv
+    ):
+        original = getattr(enumeration, gen_name)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(enumeration, gen_name, counting)
+        code, out = run_cli(capsys, "enumerate", "--family", *argv.split())
+        assert code == 0
+        assert len(calls) == 1
+        assert out.splitlines()[-1] != "count: 0"
 
 
 class TestVerify:

@@ -6,6 +6,7 @@ from modsym.enumeration import (
     CyclePermutation,
     LatticePath,
     SetPartition,
+    Tiling,
     count_equal_minset_tuples,
     count_nested_minset_tuples,
     count_partitions_bounded,
@@ -157,16 +158,22 @@ class TestFilteredPartitionCounts:
                     )
 
     def test_counts_agree_with_generators(self):
-        # the pruned counters against the plain object-level filters
+        # Counters and generators prune the same tree by separate walks; both
+        # are held to the plain object-level filter over every partition.
+        def reference(n, k, ok):
+            return [
+                p for p in gen_set_partitions(n, k) if all(ok(d) for d in diff_vector(p))
+            ]
+
         for n in range(1, 8):
             for k in range(1, n + 1):
                 for s in (1, 2):
-                    assert count_partitions_mod(n, k, s) == sum(
-                        1 for _ in gen_partitions_mod(n, k, s)
-                    )
-                    assert count_partitions_bounded(n, k, s) == sum(
-                        1 for _ in gen_partitions_bounded(n, k, s)
-                    )
+                    mod = reference(n, k, lambda d: d % (s + 1) <= 1)
+                    assert list(gen_partitions_mod(n, k, s)) == mod
+                    assert count_partitions_mod(n, k, s) == len(mod)
+                    bounded = reference(n, k, lambda d: d <= s)
+                    assert list(gen_partitions_bounded(n, k, s)) == bounded
+                    assert count_partitions_bounded(n, k, s) == len(bounded)
 
 
 class TestPartitionsFromComposition:
@@ -251,6 +258,15 @@ class TestPathsAndTilings:
     def test_run_lengths_constraint(self):
         for t in gen_tilings(3, 5, 2):
             assert all(r % 3 <= 1 for r in t.run_lengths())
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="steps must be over H/V"):
+            LatticePath("HBV")
+        with pytest.raises(ValueError, match="cells must be over B/G"):
+            Tiling("BHG")
+        for word in (LatticePath("VHHV"), Tiling("GBBG")):
+            assert word.level_exponents() == (0, 2, 0)
+            assert (word.n, word.k) == (3, 2)
 
 
 class TestPathTilingBijection:

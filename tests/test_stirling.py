@@ -253,6 +253,8 @@ class TestTriangleSerialization:
             StirlingQuery(-1, 0, "stirling2")
         with pytest.raises(ValueError):
             triangle_rows("stirling2", 0, 3)
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            triangle_from_csv("")
 
 
 class TestLargeTables:
