@@ -119,8 +119,8 @@ def _destination(path: str | None, parser):
 
 
 def _json_dump(obj, fh):
-    json.dump(obj, fh, separators=(", ", ": "))
-    fh.write("\n")
+    # json.dumps runs the C encoder; json.dump always runs the Python one
+    fh.write(json.dumps(obj, separators=(", ", ": ")) + "\n")
 
 
 def _cmd_table(args, parser) -> int:
@@ -270,7 +270,7 @@ def _cmd_enumerate(args, parser) -> int:
                 for obj in gen:
                     if count:
                         fh.write(", ")
-                    json.dump(as_json(obj), fh, separators=(", ", ": "))
+                    fh.write(json.dumps(as_json(obj), separators=(", ", ": ")))
                     count += 1
                 fh.write(f'], "count": {count}}}\n')
         except ValueError as exc:

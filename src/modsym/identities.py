@@ -23,7 +23,10 @@ place of 1), run over a fixed probe grid; its first failing cell is recorded
 in the report's ``errata`` field and is never asserted.
 
 Grid cells are independent pure computations.  They run one after another
-in grid order and share one memo of library calls per verify call.
+in grid order and share one memo of library calls per verify call;
+``verify_all`` keeps one memo for its whole sweep, so an identity reads the
+values another has already computed.  A memo only ever replays a library
+call, so the two sides of a cell still reach different routes.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from math import gcd
 
+from modsym import stirling
 from modsym.enumeration import (
     count_equal_minset_tuples,
     count_nested_minset_tuples,
@@ -174,7 +178,8 @@ class IdentityInfo:
 
 
 # ---------------------------------------------------------------------------
-# shared computation context (per verify call; caches are never global)
+# shared computation context (per verify or verify_all call; caches are
+# never global)
 
 
 class _Ctx:
@@ -333,28 +338,30 @@ def _check_allones(ctx: _Ctx, p: dict, r: Ranges, shift: int = 0):
     return lhs, rhs
 
 
-def _check_s2mod_spec(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s = p["n"], p["k"], p["s"]
-    lhs = ctx(stirling2_mod, n, k, s, "specialization")
-    rhs = stirling2_mod(n, k, s, "recurrence")
-    return lhs, rhs
-
-
-def _s2spec_or_zero(ctx: _Ctx, n: int, k: int, s: int) -> int:
+def _s2spec_or_zero(ctx: _Ctx, r: Ranges, n: int, k: int, s: int) -> int:
+    # {n,k}^(s) from the walk of column (k, s) down to the grid's last row
     if n < 0 or k < 0 or k > n:
         return 0
-    return ctx(stirling2_mod, n, k, s, "specialization")
+    column = ctx(stirling._stirling2_mod_column, k, s, max(n, r.n_max) - k)
+    return column[n - k]
+
+
+def _check_s2mod_spec(ctx: _Ctx, p: dict, r: Ranges):
+    n, k, s = p["n"], p["k"], p["s"]
+    lhs = _s2spec_or_zero(ctx, r, n, k, s)
+    rhs = stirling2_mod(n, k, s, "recurrence")
+    return lhs, rhs
 
 
 def _check_s2mod_rec(ctx: _Ctx, p: dict, r: Ranges, lift: int = 1):
     n, k, s = p["n"], p["k"], p["s"]
     if n - k < s + 1:
         raise _Skip("requires n-k >= s+1")
-    lhs = ctx(stirling2_mod, n, k, s, "specialization")
+    lhs = _s2spec_or_zero(ctx, r, n, k, s)
     rhs = (
-        _s2spec_or_zero(ctx, n - 1, k - 1, s)
-        + k * _s2spec_or_zero(ctx, n - 2, k - 1, s)
-        + k ** (s + lift) * _s2spec_or_zero(ctx, n - s - 1, k, s)
+        _s2spec_or_zero(ctx, r, n - 1, k - 1, s)
+        + k * _s2spec_or_zero(ctx, r, n - 2, k - 1, s)
+        + k ** (s + lift) * _s2spec_or_zero(ctx, r, n - s - 1, k, s)
     )
     return lhs, rhs
 
@@ -553,7 +560,8 @@ def _grid_s1mod_rec(r: Ranges, nested: bool = False) -> Iterator[dict]:
 def _check_s1mod_rec(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
     lhs = stirling1_mod_rec(n, k, s)
-    rhs = stirling1_mod(n, k, s)
+    idx = (n - 1) * s - (k - 1)
+    rhs = ctx(stirling._stirling1_mod_column, n, s)[idx] if idx >= 0 else 0
     return lhs, rhs
 
 
@@ -1069,11 +1077,10 @@ def _run_cell(ident: _Identity, ctx: _Ctx, params: dict, ranges: Ranges) -> Iden
     return IdentityCase(ident.info.id, params, str(lhs), str(rhs), status)
 
 
-def _run_identity(ident: _Identity, ranges: Ranges) -> VerifyReport:
+def _run_identity(ident: _Identity, ranges: Ranges, ctx: _Ctx) -> VerifyReport:
     cells = list(ident.grid(ranges))
     if not cells:
         raise ValueError(f"empty parameter grid for {ident.info.id}")
-    ctx = _Ctx()
     results = [_run_cell(ident, ctx, p, ranges) for p in cells]
     passed = sum(1 for c in results if c.status == "pass")
     failed = [c for c in results if c.status == "fail"]
@@ -1094,25 +1101,33 @@ def _run_identity(ident: _Identity, ranges: Ranges) -> VerifyReport:
 
 
 def verify(
-    identity_id: str, ranges: Ranges | None = None, profile: str = "quick"
+    identity_id: str,
+    ranges: Ranges | None = None,
+    profile: str = "quick",
+    *,
+    _ctx: _Ctx | None = None,
 ) -> VerifyReport:
     """Exhaustively check one identity on its parameter grid.
 
     Explicit ``ranges`` fields override the per-identity profile bounds.
+    ``_ctx`` is the memo of library calls, fresh when None; only
+    ``verify_all`` passes one, to share it across its sweep.
     """
     key = _normalize_id(identity_id)
     base = profile_ranges(key, profile)
     effective = ranges.merged_over(base) if ranges is not None else base
-    return _run_identity(_CATALOG[key], effective)
+    return _run_identity(_CATALOG[key], effective, _ctx or _Ctx())
 
 
 def verify_all(
     profile: str = "quick", ranges: Ranges | None = None
 ) -> list[VerifyReport]:
-    """Run every catalog entry under the given profile, in catalog order."""
+    """Run every catalog entry under the given profile, in catalog order,
+    with one memo of library calls for the whole sweep."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
-    return [verify(key, ranges, profile) for key in _CATALOG]
+    ctx = _Ctx()
+    return [verify(key, ranges, profile, _ctx=ctx) for key in _CATALOG]
 
 
 # ---------------------------------------------------------------------------
@@ -1170,5 +1185,5 @@ def mutation_selftest() -> list[VerifyReport]:
     for name, anchor, key, ranges, hooks in _MUTATIONS:
         ident = _hooked(key, **hooks)
         info = IdentityInfo(name, anchor, ident.info.parameters)
-        reports.append(_run_identity(replace(ident, info=info), ranges))
+        reports.append(_run_identity(replace(ident, info=info), ranges, _Ctx()))
     return reports

@@ -4,8 +4,8 @@ both kinds, the higher-level first kind, and the connection polynomials.
 Value conventions, with ``{n,k}`` the second kind and ``[n,k]`` the unsigned
 first kind:
 
-* ``stirling2_mod``  {n,k}^(s) = M_{n-k}^(s)(1..k).  Two routes: evaluating
-  the modular symmetric polynomial (``specialization``) and a second-order
+* ``stirling2_mod``  {n,k}^(s) = M_{n-k}^(s)(1..k).  Two routes: the
+  specialization at the point (``specialization``) and a second-order
   recurrence (``recurrence``) valid while n-k >= s+1, with specialization
   values below that threshold.
 * ``stirling1_mod``  [n,k]^(s), computed in integer form as
@@ -22,6 +22,13 @@ Each triangle recurrence is written once, as a generator of successive
 rows; the scalar functions read row n from it and ``triangle_rows`` takes the
 first rows.  Rows are built bottom-up, so row counts in the hundreds stay
 cheap and no recursion depth is ever an issue.
+
+Both specializations are walks over compositions that multiply out each
+monomial at the point as they go and never build the polynomial.  One walk
+covers every degree, summing the products by degree, so it yields every k of
+a first-kind row n, or every n of a second-kind column k.  The walks visit
+every composition and share no work between them, unlike the recurrences'
+dynamic programs, so each stays a route independent of the recurrences.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ from io import StringIO
 from itertools import count, islice
 import csv
 
-from modsym.polycore import Polynomial, _cauchy, poly_eval_int
-from modsym.symfun import bounded_elem_sym, modular_sym, _residue_parts
+from modsym.polycore import Polynomial, _cauchy
+from modsym.symfun import _residue_parts
 
 TRIANGLE_FAMILIES = (
     "stirling2",
@@ -173,16 +180,37 @@ def _stirling2_mod_table(n: int, k_hi: int, s: int) -> list[list[int]]:
     return rows
 
 
+def _stirling2_mod_column(k: int, s: int, depth: int) -> list[int]:
+    # out[d] = M_d^(s)(1..k) = {k+d, k}^(s) for d = 0..depth: one walk over
+    # the compositions into k parts congruent to 0 or 1 mod s+1, adding each
+    # product 1^{a_1}...k^{a_k} into out[sum a].  A path that reaches depth
+    # stops there, since every later part must then be 0.
+    out = [0] * (depth + 1)
+
+    def walk(v: int, deg: int, prod: int):
+        if deg == depth or v > k:
+            out[deg] += prod
+            return
+        for a in _residue_parts(depth - deg, s, 1):
+            walk(v + 1, deg + a, prod * v**a)
+
+    walk(1, 0, 1)
+    return out
+
+
 def stirling2_mod(n: int, k: int, s: int, method: str = "recurrence") -> int:
-    """{n,k}^(s) = M_{n-k}^(s)(1..k) by the requested route."""
+    """{n,k}^(s) = M_{n-k}^(s)(1..k) by the requested route.
+
+    ``specialization`` walks the admissible compositions into k parts of
+    every degree up to n-k, summing their monomials at the point (1..k) by
+    degree, and never builds M; ``recurrence`` reads the recurrence table.
+    """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got (n, k) = ({n}, {k})")
     if method == "specialization":
-        return poly_eval_int(
-            modular_sym(k, n - k, s, "enumeration"), tuple(range(1, k + 1))
-        )
+        return _stirling2_mod_column(k, s, n - k)[n - k]
     if method == "recurrence":
         return _stirling2_mod_table(n, k, s)[n][k]
     raise ValueError(
@@ -190,10 +218,45 @@ def stirling2_mod(n: int, k: int, s: int, method: str = "recurrence") -> int:
     )
 
 
+def _stirling1_mod_column(n: int, s: int, degree: int | None = None) -> list[int]:
+    # out[idx] = E_idx^(s)(1..n-1) = [n, (n-1)s+1-idx]^(s): one walk over the
+    # compositions into n-1 parts at most s, adding each product
+    # 1^{a_1}...(n-1)^{a_{n-1}} into out[sum a].  It walks every degree, or
+    # only ``degree`` when given, so that one value near either end of a long
+    # row costs its own few compositions, not the whole row.
+    last = n - 1
+    top = last * s
+    lo, hi = (0, top) if degree is None else (degree, degree)
+    # the degree after variable v from which the later parts still reach lo
+    floor = [lo - (last - v) * s for v in range(n)]
+    out = [0] * (top + 1)
+
+    def walk(v: int, deg: int, prod: int):
+        first = floor[v]
+        if first > deg:
+            prod *= v ** (first - deg)
+        else:
+            first = deg
+        for a in range(first, min(deg + s, hi) + 1):
+            if v == last:
+                out[a] += prod
+            else:
+                walk(v + 1, a, prod)
+            prod *= v
+
+    if last:
+        walk(1, 0, 1)
+    else:
+        out[0] = 1
+    return out
+
+
 def stirling1_mod(n: int, k: int, s: int) -> int:
     """[n,k]^(s) in integer form: E_{(n-1)s-(k-1)}^(s) at the point (1..n-1).
 
-    Zero whenever the target index falls outside [0, (n-1)s].
+    Walks the compositions of that index into n-1 parts at most s and sums
+    their monomials at the point; E is never built.  Zero whenever the
+    target index falls outside [0, (n-1)s].
     """
     if n < 1 or k < 1:
         raise ValueError(f"n and k must be >= 1, got ({n}, {k})")
@@ -202,7 +265,7 @@ def stirling1_mod(n: int, k: int, s: int) -> int:
     idx = (n - 1) * s - (k - 1)
     if idx < 0:
         return 0
-    return poly_eval_int(bounded_elem_sym(n - 1, idx, s), tuple(range(1, n)))
+    return _stirling1_mod_column(n, s, idx)[idx]
 
 
 def stirling1_mod_rec(n: int, k: int, s: int) -> int:

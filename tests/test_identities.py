@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from modsym import identities
+from modsym import identities, stirling
 from modsym.cli import main
 from modsym.identities import (
     Ranges,
@@ -87,6 +87,13 @@ class TestVerify:
         assert case.lhs == case.rhs == "107331"
         assert ps1_rhs(4, 8, 3) == 107331
 
+    @pytest.mark.parametrize("key", ["S2MOD_SPEC", "S2MOD_REC"])
+    def test_specialization_cell_beyond_the_grid(self, key):
+        # n = 12 lies past the quick profile's last row, n = 8
+        case = check_cell(key, n=12, k=3, s=2)
+        assert case.status == "pass"
+        assert case.lhs == case.rhs == "35070"
+
     def test_ps1_example_range(self):
         rep = verify("PS1", Ranges(n_max=4, k_max=8, s_max=3))
         assert rep.failed == 0 and rep.skipped == 0
@@ -144,6 +151,20 @@ class TestVerify:
     def test_verify_all_rejects_bad_profile(self):
         with pytest.raises(ValueError):
             verify_all("medium")
+
+    def test_verify_all_walks_each_column_once(self, monkeypatch):
+        # S2MOD_REC reads the columns S2MOD_SPEC walked, from the sweep's memo
+        calls = []
+        walk = stirling._stirling2_mod_column
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(stirling, "_stirling2_mod_column", counted)
+        verify_all("quick")
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {(k, s, 8 - k) for k in range(9) for s in (1, 2)}
 
 
 class TestErrata:
@@ -220,6 +241,64 @@ class TestMutations:
         monkeypatch.setitem(identities._CATALOG, key, vacuous)
         assert main(["verify", "--seed-check"]) == 1
         capsys.readouterr()
+
+
+# Each perturbation puts one cell of one route core off by one.
+def _bump_s1_column(walk):
+    def patched(n, s, *degree):
+        out = list(walk(n, s, *degree))
+        if (n, s) == (3, 1):
+            out[0] += 1  # [3,3]^(1)
+        return out
+
+    return patched
+
+
+def _bump_s1_rows(rows):
+    def patched(s):
+        for n, row in enumerate(rows(s)):
+            yield {**row, 2: row[2] + 1} if (n, s) == (3, 1) else row  # [3,2]^(1)
+
+    return patched
+
+
+def _bump_s2_column(walk):
+    def patched(k, s, depth):
+        out = list(walk(k, s, depth))
+        if (k, s) == (2, 1) and depth >= 3:
+            out[3] += 1  # {5,2}^(1)
+        return out
+
+    return patched
+
+
+def _bump_s2_table(table):
+    def patched(n, k_hi, s):
+        rows = table(n, k_hi, s)
+        if s == 1 and n >= 5 and k_hi >= 2:
+            rows[5][2] += 1  # {5,2}^(1)
+        return rows
+
+    return patched
+
+
+ROUTE_CORES = [
+    ("S1MOD_REC", "_stirling1_mod_column", _bump_s1_column),
+    ("S1MOD_REC", "_rows_stirling1_mod", _bump_s1_rows),
+    ("S2MOD_SPEC", "_stirling2_mod_column", _bump_s2_column),
+    ("S2MOD_SPEC", "_stirling2_mod_table", _bump_s2_table),
+    ("S2MOD_REC", "_stirling2_mod_column", _bump_s2_column),
+    ("S1MOD_DEF", "_stirling1_mod_column", _bump_s1_column),
+]
+
+
+@pytest.mark.parametrize(
+    "key, core, bump", ROUTE_CORES, ids=[f"{k}-{c}" for k, c, _ in ROUTE_CORES]
+)
+def test_perturbed_route_core_fails(monkeypatch, key, core, bump):
+    # a core reached by only one side of the identity must show up as failures
+    monkeypatch.setattr(stirling, core, bump(getattr(stirling, core)))
+    assert verify(key, profile="quick").failed >= 1
 
 
 class TestRhsHelpers:

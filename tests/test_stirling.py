@@ -1,5 +1,9 @@
+from itertools import islice
+from math import factorial
+
 import pytest
 
+from modsym import stirling
 from modsym.polycore import Polynomial, poly_eval_int
 from modsym.stirling import (
     StirlingQuery,
@@ -149,6 +153,57 @@ class TestStirling1Mod:
                             v *= i ** (s - a)
                         scaled += v
                     assert scaled == stirling1_mod(n + 1, k + 1, s)
+
+
+class TestColumnWalks:
+    def test_first_kind_column_is_a_recurrence_row(self):
+        # entry idx of column n is [n, (n-1)s+1-idx]^(s)
+        for s in (1, 2, 3):
+            for n, row in enumerate(islice(stirling._rows_stirling1_mod(s), 9)):
+                if n:
+                    top = (n - 1) * s + 1
+                    assert stirling._stirling1_mod_column(n, s) == [
+                        row.get(top - idx, 0) for idx in range(top)
+                    ], (n, s)
+
+    def test_first_kind_single_degree_walk(self):
+        for n in range(1, 8):
+            for s in (1, 2, 3):
+                column = stirling._stirling1_mod_column(n, s)
+                for idx, value in enumerate(column):
+                    alone = stirling._stirling1_mod_column(n, s, idx)
+                    assert alone[idx] == value and sum(alone) == value
+
+    def test_row_ends_of_a_long_row(self):
+        # one value walks only its own compositions, not all 2^39 of the row
+        assert stirling1_mod(40, 40, 1) == 1
+        assert stirling1_mod(40, 1, 1) == factorial(39)
+        assert stirling1_mod(40, 39, 1) == 39 * 40 // 2
+
+    def test_first_kind_column_edges(self):
+        for s in (1, 2, 3):
+            assert stirling._stirling1_mod_column(1, s) == [1]
+        for n in range(1, 9):
+            assert stirling._stirling1_mod_column(n, 1) == [
+                stirling1(n, k) for k in range(n, 0, -1)
+            ]
+
+    def test_second_kind_column_is_a_table_column(self):
+        for s in (1, 2, 3):
+            for k in range(13):
+                for depth in range(13 - k):
+                    rows = stirling._stirling2_mod_table(k + depth, k, s)
+                    assert stirling._stirling2_mod_column(k, s, depth) == [
+                        rows[k + d][k] for d in range(depth + 1)
+                    ], (k, s, depth)
+
+    def test_second_kind_column_edges(self):
+        for s in (1, 2, 3):
+            for depth in range(6):
+                assert stirling._stirling2_mod_column(0, s, depth) == [1] + [0] * depth
+        assert stirling._stirling2_mod_column(3, 1, 9) == [
+            stirling2(3 + d, 3) for d in range(10)
+        ]
 
 
 class TestStirling1Higher:
