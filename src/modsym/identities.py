@@ -112,7 +112,8 @@ class Ranges:
 
 @dataclass
 class IdentityCase:
-    """One grid cell: parameters, both serialized sides, and its status."""
+    """One grid cell: parameters, both serialized sides, and its status; a
+    sweep leaves the sides of a passing cell empty."""
 
     id: str
     params: dict
@@ -1064,16 +1065,21 @@ def check_cell(
     ident = _CATALOG[_normalize_id(identity_id)]
     base = ident.quick
     effective = ranges.merged_over(base) if ranges is not None else base
-    return _run_cell(ident, _Ctx(), params, effective)
+    return _run_cell(ident, _Ctx(), params, effective, keep_sides=True)
 
 
-def _run_cell(ident: _Identity, ctx: _Ctx, params: dict, ranges: Ranges) -> IdentityCase:
-    # the one place a cell is compared and serialized
+def _run_cell(
+    ident: _Identity, ctx: _Ctx, params: dict, ranges: Ranges, *, keep_sides: bool = False
+) -> IdentityCase:
+    # the one place a cell is compared; its sides are serialized only when it
+    # fails or ``keep_sides`` asks for them
     try:
         lhs, rhs = ident.check(ctx, params, ranges)
     except _Skip as skip:
         return IdentityCase(ident.info.id, params, "", "", "skipped", skip.reason)
     status = "pass" if lhs == rhs else "fail"
+    if status == "pass" and not keep_sides:
+        return IdentityCase(ident.info.id, params, "", "", status)
     return IdentityCase(ident.info.id, params, str(lhs), str(rhs), status)
 
 

@@ -5,9 +5,11 @@ Value conventions, with ``{n,k}`` the second kind and ``[n,k]`` the unsigned
 first kind:
 
 * ``stirling2_mod``  {n,k}^(s) = M_{n-k}^(s)(1..k).  Two routes: the
-  specialization at the point (``specialization``) and a second-order
-  recurrence (``recurrence``) valid while n-k >= s+1, with specialization
-  values below that threshold.
+  specialization at the point (``specialization``) and the recurrence
+  {n,k} = {n-1,k-1} + k{n-2,k-1} + k^{s+1}{n-s-1,k} (``recurrence``), a
+  term outside the triangle read as 0.  It needs no seeds: below
+  n-k = s+1 the last term vanishes and the first two give
+  e_{n-k}(1..k) = M_{n-k}^(s)(1..k).
 * ``stirling1_mod``  [n,k]^(s), computed in integer form as
   E_{(n-1)s-(k-1)}^(s)(1..n-1): multiplying the reciprocal-point definition
   through by ((n-1)!)^s turns every exponent a_i into s-a_i, so no rational
@@ -23,17 +25,20 @@ rows; the scalar functions read row n from it and ``triangle_rows`` takes the
 first rows.  Rows are built bottom-up, so row counts in the hundreds stay
 cheap and no recursion depth is ever an issue.
 
-Both specializations are walks over compositions that multiply out each
-monomial at the point as they go and never build the polynomial.  One walk
-covers every degree, summing the products by degree, so it yields every k of
-a first-kind row n, or every n of a second-kind column k.  The walks visit
-every composition and share no work between them, unlike the recurrences'
-dynamic programs, so each stays a route independent of the recurrences.
+Both specializations are one walk over compositions, ``_point_sums``, that
+multiplies out each monomial at the point as it goes and never builds the
+polynomial; the kinds differ only in the parts they allow.  One walk covers
+every degree, summing the products by degree, so it yields every k of a
+first-kind row n, or every n of a second-kind column k.  It keeps its own
+stack, so no recursion limit applies.  It visits every composition and
+shares no work between them, unlike the recurrences' dynamic programs, so it
+stays a route independent of the recurrences; no identity compares the two
+kinds' walks with each other.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from io import StringIO
 from itertools import count, islice
@@ -141,61 +146,57 @@ def stirling1(n: int, k: int) -> int:
     return _nth_row(_rows_stirling1(), n)[k]
 
 
-def _modular_eval_consecutive(num_vars: int, degree: int, s: int) -> int:
-    # M_degree^(s)(1, 2, ..., num_vars): integer dynamic program over the
-    # variable-count recurrence, one admissible part at a time.
-    table = [0] * (degree + 1)
-    table[0] = 1
-    for v in range(1, num_vars + 1):
-        nxt = [0] * (degree + 1)
-        for m in range(degree + 1):
-            acc = 0
-            for j in _residue_parts(m, s, 1):
-                if table[m - j]:
-                    acc += v**j * table[m - j]
-            nxt[m] = acc
-        table = nxt
-    return table[degree]
-
-
 def _stirling2_mod_table(n: int, k_hi: int, s: int) -> list[list[int]]:
-    # rows[i][j] = {i, j}^(s) for 0 <= j <= min(i, k_hi), filled bottom-up.
-    # Cells with i-j < s+1 come from the specialization value; the rest from
-    # {i,j} = {i-1,j-1} + j*{i-2,j-1} + j^{s+1}*{i-s-1,j}.
+    # rows[i][j] = {i, j}^(s) for 0 <= j <= min(i, k_hi), filled bottom-up by
+    # {i,j} = {i-1,j-1} + j*{i-2,j-1} + j^{s+1}*{i-s-1,j}, a term outside the
+    # triangle read as 0.
     rows: list[list[int]] = []
     for i in range(n + 1):
-        row = []
-        for j in range(min(i, k_hi) + 1):
-            if j == 0:
-                row.append(1 if i == 0 else 0)
-            elif i - j < s + 1:
-                row.append(_modular_eval_consecutive(j, i - j, s))
-            else:
-                row.append(
-                    rows[i - 1][j - 1]
-                    + j * rows[i - 2][j - 1]
-                    + j ** (s + 1) * (rows[i - s - 1][j] if j <= i - s - 1 else 0)
-                )
+        row = [1 if i == 0 else 0]
+        for j in range(1, min(i, k_hi) + 1):
+            row.append(
+                rows[i - 1][j - 1]
+                + (j * rows[i - 2][j - 1] if i > j else 0)
+                + (j ** (s + 1) * rows[i - s - 1][j] if i - j > s else 0)
+            )
         rows.append(row)
     return rows
 
 
-def _stirling2_mod_column(k: int, s: int, depth: int) -> list[int]:
-    # out[d] = M_d^(s)(1..k) = {k+d, k}^(s) for d = 0..depth: one walk over
-    # the compositions into k parts congruent to 0 or 1 mod s+1, adding each
-    # product 1^{a_1}...k^{a_k} into out[sum a].  A path that reaches depth
-    # stops there, since every later part must then be 0.
-    out = [0] * (depth + 1)
-
-    def walk(v: int, deg: int, prod: int):
-        if deg == depth or v > k:
-            out[deg] += prod
-            return
-        for a in _residue_parts(depth - deg, s, 1):
-            walk(v + 1, deg + a, prod * v**a)
-
-    walk(1, 0, 1)
+def _point_sums(m: int, parts: Sequence[int], lo: int, hi: int) -> list[int]:
+    # out[d], for lo <= d <= hi, is the sum of 1^{a_1}...m^{a_m} over the
+    # compositions of d into m parts drawn from ``parts`` (ascending, from 0).
+    # One explicit-stack walk visits each composition and multiplies out its
+    # monomial at the point as it goes.  A prefix that reaches hi stops there,
+    # since every later part must then be 0; a part after which the later
+    # parts can no longer reach lo is skipped.
+    out = [0] * (hi + 1)
+    if not m:
+        out[0] = 1
+        return out
+    top = parts[-1]
+    stack = [(1, 0, 1)]
+    while stack:
+        v, deg, prod = stack.pop()
+        # the least degree after variable v from which the later parts reach lo
+        floor = lo - (m - v) * top
+        for a in parts:
+            d = deg + a
+            if d > hi:
+                break
+            if d < floor:
+                continue
+            if d == hi or v == m:
+                out[d] += prod * v**a
+            else:
+                stack.append((v + 1, d, prod * v**a))
     return out
+
+
+def _stirling2_mod_column(k: int, s: int, depth: int) -> list[int]:
+    # out[d] = M_d^(s)(1..k) = {k+d, k}^(s) for d = 0..depth: parts congruent
+    # to 0 or 1 mod s+1
+    return _point_sums(k, list(_residue_parts(depth, s, 1)), 0, depth)
 
 
 def stirling2_mod(n: int, k: int, s: int, method: str = "recurrence") -> int:
@@ -219,36 +220,11 @@ def stirling2_mod(n: int, k: int, s: int, method: str = "recurrence") -> int:
 
 
 def _stirling1_mod_column(n: int, s: int, degree: int | None = None) -> list[int]:
-    # out[idx] = E_idx^(s)(1..n-1) = [n, (n-1)s+1-idx]^(s): one walk over the
-    # compositions into n-1 parts at most s, adding each product
-    # 1^{a_1}...(n-1)^{a_{n-1}} into out[sum a].  It walks every degree, or
-    # only ``degree`` when given, so that one value near either end of a long
-    # row costs its own few compositions, not the whole row.
-    last = n - 1
-    top = last * s
-    lo, hi = (0, top) if degree is None else (degree, degree)
-    # the degree after variable v from which the later parts still reach lo
-    floor = [lo - (last - v) * s for v in range(n)]
-    out = [0] * (top + 1)
-
-    def walk(v: int, deg: int, prod: int):
-        first = floor[v]
-        if first > deg:
-            prod *= v ** (first - deg)
-        else:
-            first = deg
-        for a in range(first, min(deg + s, hi) + 1):
-            if v == last:
-                out[a] += prod
-            else:
-                walk(v + 1, a, prod)
-            prod *= v
-
-    if last:
-        walk(1, 0, 1)
-    else:
-        out[0] = 1
-    return out
+    # out[idx] = E_idx^(s)(1..n-1) = [n, (n-1)s+1-idx]^(s): parts at most s.
+    # It sums every degree, or only ``degree`` when given, so that one value
+    # near either end of a long row costs its own few compositions.
+    lo, hi = (0, (n - 1) * s) if degree is None else (degree, degree)
+    return _point_sums(n - 1, range(s + 1), lo, hi)
 
 
 def stirling1_mod(n: int, k: int, s: int) -> int:

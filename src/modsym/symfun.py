@@ -67,29 +67,41 @@ def _composition_poly(num_vars: int, degree: int, parts_for, first_ok) -> Polyno
 
     ``parts_for(remaining)`` lists admissible part values; ``first_ok`` decides
     whether the leftover degree is an admissible value for the first variable,
-    so the last recursion level never loops.  Parts are assigned to the last
-    variable first.  Every composition is a distinct exponent vector, so all
+    so the walk never loops over the first variable.  Parts are assigned to
+    the last variable first, on an explicit stack, so any number of variables
+    walks.  Every composition is a distinct exponent vector, so all
     coefficients are 1.
     """
     if num_vars == 0:
         return Polynomial.one() if degree == 0 else Polynomial.zero()
+    if num_vars == 1:
+        return Polynomial.monomial((degree,)) if first_ok(degree) else Polynomial.zero()
     terms: dict = {}
     buf = [0] * num_vars
-
-    def rec(i: int, remaining: int):
-        if i == 0:
-            if first_ok(remaining):
-                buf[0] = remaining
+    # the stack, one slot per variable x_{i+1} down to x_2: the degree left
+    # for x_1..x_{i+1} and the part values still to try for x_{i+1}
+    left = [0] * num_vars
+    parts = [None] * num_vars
+    i = num_vars - 1
+    left[i] = degree
+    parts[i] = iter(parts_for(degree))
+    while i < num_vars:
+        for a in parts[i]:
+            buf[i] = a
+            rest = left[i] - a
+            if i > 1:
+                i -= 1
+                left[i] = rest
+                parts[i] = iter(parts_for(rest))
+                break
+            if first_ok(rest):
+                buf[0] = rest
                 end = num_vars
                 while end and buf[end - 1] == 0:
                     end -= 1
                 terms[tuple(buf[:end])] = 1
-            return
-        for a in parts_for(remaining):
-            buf[i] = a
-            rec(i - 1, remaining - a)
-
-    rec(num_vars - 1, degree)
+        else:
+            i += 1
     return Polynomial._raw(terms)
 
 

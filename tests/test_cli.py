@@ -159,6 +159,12 @@ class TestEval:
         )
         assert code == 0 and out == "x1^3 + x1*x2*x3 + x2^3 + x3^3\n"
 
+    def test_symbolic_thousand_variables(self, capsys):
+        code = main(["eval", "--function", "M", "--k", "1", "--vars", "symbolic:1000"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out == " + ".join(f"x{i}" for i in range(1, 1001)) + "\n"
+
     def test_bounded_elementary(self, capsys):
         code, out = run_cli(
             capsys, "eval", "--function", "E", "--s", "3", "--k", "3",

@@ -272,32 +272,77 @@ def _bump_s2_column(walk):
     return patched
 
 
-def _bump_s2_table(table):
-    def patched(n, k_hi, s):
-        rows = table(n, k_hi, s)
-        if s == 1 and n >= 5 and k_hi >= 2:
-            rows[5][2] += 1  # {5,2}^(1)
-        return rows
+def _bump_s2_table(cell, s_bumped):
+    # {cell}^(s_bumped) in every table that holds it
+    i, j = cell
 
-    return patched
+    def bump(table):
+        def patched(n, k_hi, s):
+            rows = table(n, k_hi, s)
+            if s == s_bumped and n >= i and k_hi >= j:
+                rows[i][j] += 1
+            return rows
+
+        return patched
+
+    return bump
+
+
+def _bump_point_sums(m_bumped, parts_prefix, d):
+    # out[d] of every walk into m_bumped parts drawn from a list that starts
+    # with parts_prefix
+    def bump(walk):
+        def patched(m, parts, lo, hi):
+            out = walk(m, parts, lo, hi)
+            if m == m_bumped and tuple(parts)[: len(parts_prefix)] == parts_prefix:
+                if lo <= d <= hi:
+                    out[d] += 1
+            return out
+
+        return patched
+
+    return bump
+
+
+_S1_CELL = _bump_point_sums(2, (0, 1), 0)  # [3,3]^(1), parts at most 1
+_S2_CELL = _bump_point_sums(2, (0, 1, 2, 3), 3)  # {5,2}^(1), all parts
+_S2_TABLE = _bump_s2_table((5, 2), 1)
+# {3,2}^(2) has n-k <= s, where the recurrence's last term lies outside the
+# triangle
+_S2_BAND = _bump_s2_table((3, 2), 2)
 
 
 ROUTE_CORES = [
-    ("S1MOD_REC", "_stirling1_mod_column", _bump_s1_column),
-    ("S1MOD_REC", "_rows_stirling1_mod", _bump_s1_rows),
-    ("S2MOD_SPEC", "_stirling2_mod_column", _bump_s2_column),
-    ("S2MOD_SPEC", "_stirling2_mod_table", _bump_s2_table),
-    ("S2MOD_REC", "_stirling2_mod_column", _bump_s2_column),
-    ("S1MOD_DEF", "_stirling1_mod_column", _bump_s1_column),
+    ("S1MOD_REC", stirling, "_stirling1_mod_column", _bump_s1_column),
+    ("S1MOD_REC", stirling, "_rows_stirling1_mod", _bump_s1_rows),
+    ("S1MOD_REC", stirling, "_point_sums", _S1_CELL),
+    ("S1MOD_DEF", stirling, "_stirling1_mod_column", _bump_s1_column),
+    ("S1MOD_DEF", stirling, "_point_sums", _S1_CELL),
+    ("S1MOD_PART", stirling, "_point_sums", _S1_CELL),
+    ("S2MOD_SPEC", stirling, "_stirling2_mod_column", _bump_s2_column),
+    ("S2MOD_SPEC", stirling, "_point_sums", _S2_CELL),
+    ("S2MOD_SPEC", stirling, "_stirling2_mod_table", _S2_TABLE),
+    ("S2MOD_SPEC", stirling, "_stirling2_mod_table", _S2_BAND),
+    ("S2MOD_REC", stirling, "_stirling2_mod_column", _bump_s2_column),
+    ("S2MOD_REC", stirling, "_point_sums", _S2_CELL),
+    ("S2MOD_GF", stirling, "_stirling2_mod_table", _S2_TABLE),
+    ("PART_MOD", stirling, "_stirling2_mod_table", _S2_TABLE),
+    ("PS1", stirling, "_stirling2_mod_table", _S2_TABLE),
+    ("FERMAT", stirling, "_stirling2_mod_table", _S2_TABLE),
 ]
 
 
 @pytest.mark.parametrize(
-    "key, core, bump", ROUTE_CORES, ids=[f"{k}-{c}" for k, c, _ in ROUTE_CORES]
+    "key, module, core, bump",
+    ROUTE_CORES,
+    ids=[
+        f"{key}-{core}" + ("-band" if bump is _S2_BAND else "")
+        for key, _, core, bump in ROUTE_CORES
+    ],
 )
-def test_perturbed_route_core_fails(monkeypatch, key, core, bump):
+def test_perturbed_route_core_fails(monkeypatch, key, module, core, bump):
     # a core reached by only one side of the identity must show up as failures
-    monkeypatch.setattr(stirling, core, bump(getattr(stirling, core)))
+    monkeypatch.setattr(module, core, bump(getattr(module, core)))
     assert verify(key, profile="quick").failed >= 1
 
 

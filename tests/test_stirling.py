@@ -20,7 +20,7 @@ from modsym.stirling import (
     triangle_json_obj,
     triangle_rows,
 )
-from modsym.symfun import modular_sym
+from modsym.symfun import elem_sym, modular_sym
 
 
 def brute_stirling2(n, k):
@@ -98,6 +98,21 @@ class TestStirling2Mod:
                     assert stirling2_mod(n, k, s, "specialization") == stirling2_mod(
                         n, k, s, "recurrence"
                     )
+
+    def test_table_band_below_s_plus_one_is_elementary(self):
+        # n-k <= s admits only parts 0 and 1, so {n,k}^(s) = e_{n-k}(1..k);
+        # the table fills this band by the recurrence alone
+        for s in range(1, 6):
+            rows = stirling._stirling2_mod_table(20, 20, s)
+            for n in range(21):
+                for k in range(max(0, n - s), n + 1):
+                    point = tuple(range(1, k + 1))
+                    assert rows[n][k] == poly_eval_int(elem_sym(k, n - k), point)
+
+    def test_deep_specialization_column(self):
+        # depth 1 over 1099 variables: e_1(1..1099)
+        value = stirling2_mod(1100, 1099, 1, "specialization")
+        assert value == 604450 == stirling2_mod(1100, 1099, 1, "recurrence")
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -179,6 +194,9 @@ class TestColumnWalks:
         assert stirling1_mod(40, 40, 1) == 1
         assert stirling1_mod(40, 1, 1) == factorial(39)
         assert stirling1_mod(40, 39, 1) == 39 * 40 // 2
+
+    def test_row_end_deeper_than_the_recursion_limit(self):
+        assert stirling1_mod(1100, 1100, 1) == 1
 
     def test_first_kind_column_edges(self):
         for s in (1, 2, 3):
