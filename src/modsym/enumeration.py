@@ -17,12 +17,19 @@ form), so output is deterministic and duplicate-free.  Counting functions
 walk the same enumerations without materializing objects.
 
 The filtered partition generators and the partition counters prune the
-restricted-growth tree by one rule: a difference entry is checked the moment
-it becomes fixed, and a failed entry cuts its subtree.  The counter is its
-own leaf-counting walk rather than a count over the generator, because
-counting the yielded strings took about twice as long over the full
-PART_MOD, PART_ZERO and S1MOD_PART grids.  All permutation families read S_n
-from one walk, ``_all_cycle_perms``.
+restricted-growth tree by one rule, read from one admissibility table
+(``_admissible``): the predicate on a difference entry is evaluated once per
+value 0..n, and nxt[g] is the least admissible value >= g.  Below a node
+whose last block minimum is m and whose next element is i+1, the next entry
+to be fixed is an opening i-m..n-m-1 or the closing n-m, so the node is cut
+when nxt[i-m] > n-m: no leaf below it passes.  For "every d_i <= s" that is
+"the gap already exceeds s".  Each counted partition is still one step of
+the walk: there is no multiplication by a block count and no memo, either
+of which would turn the oracle into the composition sum it is checked
+against.  The counter is its own walk rather than a count over the
+generator, and tallies the placements of element n in its parent's loop
+instead of a call per leaf.  All permutation families read S_n from one
+walk, ``_all_cycle_perms``.
 """
 
 from __future__ import annotations
@@ -98,31 +105,41 @@ def diff_vector(p: SetPartition) -> tuple[int, ...]:
     ) + (n - minima[-1],)
 
 
+def _admissible(n: int, entry_ok) -> tuple[list[bool], list[int]]:
+    # ok[d] = entry_ok(d) for d = 0..n; nxt[g] = the least admissible d >= g,
+    # or n+1 if there is none (nxt[n+1] = n+1 is the sentinel).
+    ok = [bool(entry_ok(d)) for d in range(n + 1)]
+    nxt = [n + 1] * (n + 2)
+    for d in range(n, -1, -1):
+        nxt[d] = d if ok[d] else nxt[d + 1]
+    return ok, nxt
+
+
 def _iter_rgs(n: int, k: int, entry_ok=None) -> Iterator[list[int]]:
     # Restricted growth strings for partitions of [n] into exactly k blocks,
     # lexicographic order.  The yielded buffer is reused: copy before keeping.
     # With entry_ok, only strings whose difference entries all pass it are
-    # walked, by the rule of _count_partitions_by_diffs: d_j is checked when
-    # block j+1 opens (element i+1 opening it gives d_j = i - last minimum),
-    # d_k at the leaf.  Existing blocks are tried before the new one, so the
-    # order stays lexicographic.  No block opens past k, and an existing one
-    # is reused only while the positions left can still open the rest, so
-    # every leaf has exactly k blocks.
+    # walked.  rec(i, used, m) places element i+1 with last block minimum m;
+    # opening a block there fixes the entry i-m.  A child is entered only if
+    # the module docstring's cut leaves it alive, which at the last element
+    # is the check of the closing entry.  Existing blocks are tried before
+    # the new one, so the order stays lexicographic.  No block opens past k,
+    # and an existing one is reused only while the positions left can still
+    # open the rest, so every leaf has exactly k blocks.
     if k < 0 or n < 0 or k > n:
         return
-    ok = entry_ok or (lambda d: True)
+    ok, nxt = _admissible(n, entry_ok or (lambda d: True))
     buf = [0] * n
 
     def rec(i: int, used: int, last_min: int) -> Iterator[list[int]]:
         if i == n:
-            if ok(n - last_min):
-                yield buf
+            yield buf
             return
-        if used + n - i - 1 >= k:
+        if used + n - i - 1 >= k and nxt[i + 1 - last_min] <= n - last_min:
             for b in range(used):
                 buf[i] = b
                 yield from rec(i + 1, used, last_min)
-        if used < k and (used == 0 or ok(i - last_min)):
+        if used < k and (used == 0 or ok[i - last_min]) and nxt[0] < n - i:
             buf[i] = used
             yield from rec(i + 1, used + 1, i + 1)
 
@@ -179,28 +196,34 @@ def _check_nks(n: int, k: int, s: int):
 
 
 def _count_partitions_by_diffs(n: int, k: int, entry_ok) -> int:
-    # Walks the restricted-growth tree of partitions of [n] into k blocks:
-    # leaves correspond one-to-one to RGS strings.  A difference entry d_j is
-    # fixed the moment block j+1 opens (and d_k once element n is placed), so
-    # each entry is checked exactly once; a failed entry cuts the subtree all
-    # of whose leaves share it.
+    # The restricted-growth walk of _iter_rgs, counting instead of yielding
+    # (n >= k >= 1): every entry is checked once in the table, each child is
+    # entered only if the cut leaves it alive, and the node placing element n
+    # adds one per surviving placement in its own loop.  Block 1 holds
+    # element 1, so the walk starts at element 2.
+    ok, nxt = _admissible(n, entry_ok)
+    if n == 1:
+        return int(ok[0])
     total = 0
 
     def rec(i: int, used: int, last_min: int):
         nonlocal total
-        if i > n:
-            if entry_ok(n - last_min):
+        if i == n - 1:
+            if used == k:  # element n joins a block: closing entry n-m
+                if ok[n - last_min]:
+                    for _ in range(used):
+                        total += 1
+            elif ok[i - last_min] and ok[0]:  # it opens block k, closing 0
                 total += 1
             return
-        left_after = n - i
-        if used < k and used + 1 + left_after >= k:
-            if used == 0 or entry_ok(i - last_min - 1):
-                rec(i + 1, used + 1, i)
-        if used and used + left_after >= k:
+        # a new block at element i+1 leaves entries in [0, n-i-1] below it
+        if used < k and ok[i - last_min] and nxt[0] < n - i:
+            rec(i + 1, used + 1, i + 1)
+        if used + n - i - 1 >= k and nxt[i + 1 - last_min] <= n - last_min:
             for _ in range(used):
                 rec(i + 1, used, last_min)
 
-    rec(1, 0, 0)
+    rec(1, 1, 1)
     return total
 
 

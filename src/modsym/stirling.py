@@ -146,14 +146,19 @@ def stirling1(n: int, k: int) -> int:
     return _nth_row(_rows_stirling1(), n)[k]
 
 
-def _stirling2_mod_table(n: int, k_hi: int, s: int) -> list[list[int]]:
+def _stirling2_mod_table(
+    n: int, k_hi: int, s: int, band: bool = False
+) -> list[list[int]]:
     # rows[i][j] = {i, j}^(s) for 0 <= j <= min(i, k_hi), filled bottom-up by
     # {i,j} = {i-1,j-1} + j*{i-2,j-1} + j^{s+1}*{i-s-1,j}, a term outside the
-    # triangle read as 0.
+    # triangle read as 0.  Every term keeps i-j or lowers it, so with band
+    # only the cells that {n, k_hi} reads, those with i-j <= n-k_hi, are
+    # filled; the cells left of that band hold 0.
     rows: list[list[int]] = []
     for i in range(n + 1):
-        row = [1 if i == 0 else 0]
-        for j in range(1, min(i, k_hi) + 1):
+        lo = max(1, i - n + k_hi) if band else 1
+        row = [1 if i == 0 else 0] + [0] * (lo - 1)
+        for j in range(lo, min(i, k_hi) + 1):
             row.append(
                 rows[i - 1][j - 1]
                 + (j * rows[i - 2][j - 1] if i > j else 0)
@@ -213,7 +218,7 @@ def stirling2_mod(n: int, k: int, s: int, method: str = "recurrence") -> int:
     if method == "specialization":
         return _stirling2_mod_column(k, s, n - k)[n - k]
     if method == "recurrence":
-        return _stirling2_mod_table(n, k, s)[n][k]
+        return _stirling2_mod_table(n, k, s, band=True)[n][k]
     raise ValueError(
         f"unknown method {method!r}; expected one of {STIRLING2_MOD_METHODS}"
     )

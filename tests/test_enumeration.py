@@ -2,6 +2,7 @@ from itertools import permutations
 
 import pytest
 
+from modsym import enumeration
 from modsym.enumeration import (
     CyclePermutation,
     LatticePath,
@@ -52,6 +53,78 @@ def weight_sum(objs):
     for o in objs:
         total = total + o.weight()
     return total
+
+
+def _unpruned_count(n, k, entry_ok):
+    # The counter before the admissibility table: each entry is checked when
+    # it becomes fixed, every other subtree is walked to its leaves, and each
+    # leaf is a call of its own.
+    total = 0
+
+    def rec(i, used, last_min):
+        nonlocal total
+        if i > n:
+            if entry_ok(n - last_min):
+                total += 1
+            return
+        left_after = n - i
+        if used < k and used + 1 + left_after >= k:
+            if used == 0 or entry_ok(i - last_min - 1):
+                rec(i + 1, used + 1, i)
+        if used and used + left_after >= k:
+            for _ in range(used):
+                rec(i + 1, used, last_min)
+
+    rec(1, 0, 0)
+    return total
+
+
+def _unpruned_rgs(n, k, entry_ok=None):
+    # The generator walk before the admissibility table, yielding copies.
+    if k < 0 or n < 0 or k > n:
+        return
+    ok = entry_ok or (lambda d: True)
+    buf = [0] * n
+
+    def rec(i, used, last_min):
+        if i == n:
+            if ok(n - last_min):
+                yield tuple(buf)
+            return
+        if used + n - i - 1 >= k:
+            for b in range(used):
+                buf[i] = b
+                yield from rec(i + 1, used, last_min)
+        if used < k and (used == 0 or ok(i - last_min)):
+            buf[i] = used
+            yield from rec(i + 1, used + 1, i + 1)
+
+    yield from rec(0, 0, 0)
+
+
+def _filtered_families(s):
+    # (counter, generator, entry predicate) for each family defined at s;
+    # the all-zero-residue family has no public generator, so its strings
+    # come from the walk itself
+    step = s + 1
+    zero = lambda d: d % step == 0
+    families = [
+        (
+            count_partitions_bounded,
+            gen_partitions_bounded,
+            lambda d: d <= s,
+        )
+    ]
+    if s >= 1:
+        families += [
+            (count_partitions_mod, gen_partitions_mod, lambda d: d % step <= 1),
+            (
+                count_partitions_zeromod,
+                lambda n, k, s: enumeration._iter_rgs(n, k, zero),
+                zero,
+            ),
+        ]
+    return families
 
 
 class TestSetPartitions:
@@ -174,6 +247,34 @@ class TestFilteredPartitionCounts:
                     bounded = reference(n, k, lambda d: d <= s)
                     assert list(gen_partitions_bounded(n, k, s)) == bounded
                     assert count_partitions_bounded(n, k, s) == len(bounded)
+
+
+    def test_pruned_walks_match_the_unpruned_reference(self):
+        # the cut only drops subtrees without a passing leaf: every count
+        # equals the unpruned walk's and the number of strings generated
+        for n in range(1, 11):
+            for k in range(1, n + 1):
+                for s in range(4):
+                    for count, gen, ok in _filtered_families(s):
+                        expected = _unpruned_count(n, k, ok)
+                        assert count(n, k, s) == expected, (count, n, k, s)
+                        assert sum(1 for _ in gen(n, k, s)) == expected
+
+    def test_generator_order_matches_the_unpruned_reference(self):
+        for n in range(10):
+            for k in range(n + 1):
+                assert [tuple(w) for w in enumeration._iter_rgs(n, k)] == list(
+                    _unpruned_rgs(n, k)
+                )
+                for s in range(4):
+                    for _, _, ok in _filtered_families(s):
+                        got = [tuple(w) for w in enumeration._iter_rgs(n, k, ok)]
+                        assert got == list(_unpruned_rgs(n, k, ok)), (n, k, s)
+
+    def test_admissibility_table(self):
+        ok, nxt = enumeration._admissible(6, lambda d: d % 3 == 1)
+        assert ok == [False, True, False, False, True, False, False]
+        assert nxt == [1, 1, 4, 4, 4, 7, 7, 7]
 
 
 class TestPartitionsFromComposition:

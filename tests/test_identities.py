@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from modsym import identities, stirling
+from modsym import enumeration, identities, stirling
 from modsym.cli import main
 from modsym.identities import (
     Ranges,
@@ -277,8 +277,8 @@ def _bump_s2_table(cell, s_bumped):
     i, j = cell
 
     def bump(table):
-        def patched(n, k_hi, s):
-            rows = table(n, k_hi, s)
+        def patched(n, k_hi, s, band=False):
+            rows = table(n, k_hi, s, band)
             if s == s_bumped and n >= i and k_hi >= j:
                 rows[i][j] += 1
             return rows
@@ -304,12 +304,30 @@ def _bump_point_sums(m_bumped, parts_prefix, d):
     return bump
 
 
+def _bump_count(cell, probe):
+    # the partition count at cell = (n, k), under the entry predicates that
+    # admit the entry probe
+    def bump(walk):
+        def patched(n, k, entry_ok):
+            return walk(n, k, entry_ok) + ((n, k) == cell and entry_ok(probe))
+
+        return patched
+
+    return bump
+
+
 _S1_CELL = _bump_point_sums(2, (0, 1), 0)  # [3,3]^(1), parts at most 1
 _S2_CELL = _bump_point_sums(2, (0, 1, 2, 3), 3)  # {5,2}^(1), all parts
 _S2_TABLE = _bump_s2_table((5, 2), 1)
 # {3,2}^(2) has n-k <= s, where the recurrence's last term lies outside the
 # triangle
 _S2_BAND = _bump_s2_table((3, 2), 2)
+
+# one quick-grid count each: board 7 into 3 blocks; [5] into 3 blocks at
+# s = 1 only (d = 2 passes mod 2, not mod 3); [5] into 3 even-gap blocks
+_PART_BOUNDED = _bump_count((7, 3), 0)
+_PART_MOD = _bump_count((5, 3), 2)
+_PART_ZERO = _bump_count((5, 3), 0)
 
 
 ROUTE_CORES = [
@@ -329,6 +347,9 @@ ROUTE_CORES = [
     ("PART_MOD", stirling, "_stirling2_mod_table", _S2_TABLE),
     ("PS1", stirling, "_stirling2_mod_table", _S2_TABLE),
     ("FERMAT", stirling, "_stirling2_mod_table", _S2_TABLE),
+    ("S1MOD_PART", enumeration, "_count_partitions_by_diffs", _PART_BOUNDED),
+    ("PART_MOD", enumeration, "_count_partitions_by_diffs", _PART_MOD),
+    ("PART_ZERO", enumeration, "_count_partitions_by_diffs", _PART_ZERO),
 ]
 
 

@@ -109,6 +109,21 @@ class TestStirling2Mod:
                     point = tuple(range(1, k + 1))
                     assert rows[n][k] == poly_eval_int(elem_sym(k, n - k), point)
 
+    def test_scalar_table_fills_only_its_band(self):
+        # {n,k} by recurrence reads the cells with i-j <= n-k: those match the
+        # full table, and the cells left of that band are never filled
+        for s in (1, 2, 3):
+            full = stirling._stirling2_mod_table(14, 14, s)
+            for n in range(15):
+                for k in range(n + 1):
+                    rows = stirling._stirling2_mod_table(n, k, s, band=True)
+                    assert [len(row) for row in rows] == [
+                        min(i, k) + 1 for i in range(n + 1)
+                    ]
+                    for i, row in enumerate(rows):
+                        for j, cell in enumerate(row):
+                            assert cell == (full[i][j] if i - j <= n - k else 0)
+
     def test_deep_specialization_column(self):
         # depth 1 over 1099 variables: e_1(1..1099)
         value = stirling2_mod(1100, 1099, 1, "specialization")
