@@ -292,8 +292,10 @@ class _Skip(Exception):
 
 
 def _check_gf_m(ctx: _Ctx, p: dict, r: Ranges):
+    # the series against the recurrence route, which no other identity reads;
+    # each (n, k, s) is read once here, so the call bypasses the memo
     lhs = ctx(modular_series, p["n"], p["s"], r.k_max).coefficient(p["k"])
-    rhs = ctx(modular_sym, p["n"], p["k"], p["s"])
+    rhs = modular_sym(p["n"], p["k"], p["s"], "recurrence")
     return lhs, rhs
 
 

@@ -35,12 +35,6 @@ def make_monomial(exponents: Iterable[int]) -> Monomial:
     return exps[:end]
 
 
-def _grlex_key(exps: Monomial) -> tuple[int, tuple[int, ...]]:
-    # Graded lex, descending.  Trimmed monomials of equal degree can never be
-    # prefixes of one another, so the unpadded comparison is safe.
-    return (-sum(exps), tuple(-a for a in exps))
-
-
 class Polynomial:
     """Immutable sparse polynomial with arbitrary-precision integer coefficients."""
 
@@ -240,7 +234,11 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical (graded-lex descending) order."""
-        return sorted(self._terms.items(), key=lambda item: _grlex_key(item[0]))
+        # Trimmed monomials of equal degree can never be prefixes of one
+        # another, so the unpadded tuple comparison is graded lex.
+        return sorted(
+            self._terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True
+        )
 
     def __str__(self) -> str:
         if not self._terms:

@@ -346,13 +346,12 @@ def triangle_rows(family: str, s: int, n_max: int) -> list[list[int]]:
 
 def triangle_csv(rows: list[list[int]]) -> str:
     """CSV serialization with header n,k,value, one line per cell."""
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "k", "value"])
-    for n, row in enumerate(rows):
-        for k, value in enumerate(row):
-            writer.writerow([n, k, value])
-    return buf.getvalue()
+    # cells are non-negative ints, which a CSV writer never quotes
+    return "n,k,value\n" + "".join(
+        f"{n},{k},{value}\n"
+        for n, row in enumerate(rows)
+        for k, value in enumerate(row)
+    )
 
 
 def triangle_from_csv(text: str) -> list[list[int]]:

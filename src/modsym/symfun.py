@@ -16,11 +16,13 @@ variable count, and a convolution of h in powered variables with e) that
 must agree on the canonical form; ``modular_series`` provides a fourth via
 the product generating function prod_i (1+x_i t)/(1-(x_i t)^{s+1}).
 
-All functions are pure; memo tables live inside a single call.
+All functions are pure.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -62,39 +64,43 @@ def _residue_parts(limit: int, s: int, ell: int):
         base += step
 
 
-def _composition_poly(num_vars: int, degree: int, parts_for, first_ok) -> Polynomial:
+def _composition_poly(num_vars: int, degree: int, parts: Sequence[int]) -> Polynomial:
     """Sum of x^a over the compositions a of ``degree`` into ``num_vars`` parts.
 
-    ``parts_for(remaining)`` lists admissible part values; ``first_ok`` decides
-    whether the leftover degree is an admissible value for the first variable,
-    so the walk never loops over the first variable.  Parts are assigned to
+    ``parts`` lists the admissible part values, ascending from 0 and at most
+    ``degree``, as ``stirling._point_sums`` takes them.  Parts are assigned to
     the last variable first, on an explicit stack, so any number of variables
-    walks.  Every composition is a distinct exponent vector, so all
-    coefficients are 1.
+    walks; each level tries the parts up to the degree it has left, and the
+    first variable takes the leftover degree when the ``ok`` table admits it,
+    so the walk never loops over the first variable.  Every composition is a
+    distinct exponent vector, so all coefficients are 1.
     """
+    ok = [False] * (degree + 1)
+    for a in parts:
+        ok[a] = True
     if num_vars == 0:
         return Polynomial.one() if degree == 0 else Polynomial.zero()
     if num_vars == 1:
-        return Polynomial.monomial((degree,)) if first_ok(degree) else Polynomial.zero()
+        return Polynomial.monomial((degree,)) if ok[degree] else Polynomial.zero()
     terms: dict = {}
     buf = [0] * num_vars
     # the stack, one slot per variable x_{i+1} down to x_2: the degree left
     # for x_1..x_{i+1} and the part values still to try for x_{i+1}
     left = [0] * num_vars
-    parts = [None] * num_vars
+    todo = [None] * num_vars
     i = num_vars - 1
     left[i] = degree
-    parts[i] = iter(parts_for(degree))
+    todo[i] = iter(parts)
     while i < num_vars:
-        for a in parts[i]:
+        for a in todo[i]:
             buf[i] = a
             rest = left[i] - a
             if i > 1:
                 i -= 1
                 left[i] = rest
-                parts[i] = iter(parts_for(rest))
+                todo[i] = iter(parts[: bisect_right(parts, rest)])
                 break
-            if first_ok(rest):
+            if ok[rest]:
                 buf[0] = rest
                 end = num_vars
                 while end and buf[end - 1] == 0:
@@ -141,44 +147,31 @@ def bounded_elem_sym(n: int, k: int, s: int) -> Polynomial:
     SymFunParams(n, k, s)
     if k > n * s:
         return Polynomial.zero()
-    return _composition_poly(
-        n, k, lambda rem: range(min(rem, s) + 1), lambda rem: rem <= s
-    )
+    return _composition_poly(n, k, range(min(k, s) + 1))
 
 
 def lmodular_sym(n: int, k: int, s: int, ell: int) -> Polynomial:
     """M_k^(s,ell): compositions of k with every part congruent to 0 or ell mod s+1."""
     SymFunParams(n, k, s, ell)
-    step = s + 1
-    return _composition_poly(
-        n,
-        k,
-        lambda rem: _residue_parts(rem, s, ell),
-        lambda rem: rem % step == 0 or rem % step == ell,
-    )
+    return _composition_poly(n, k, list(_residue_parts(k, s, ell)))
 
 
-def _modular_rec(n: int, k: int, s: int, memo: dict) -> Polynomial:
-    # Variable-count recurrence; the constant-term shortcut for k < s+1 sums
-    # x_n^j M_{k-j}(n-1) over admissible j, the k >= s+1 branch peels x_n^{s+1}.
-    key = (n, k)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if n == 0:
-        result = Polynomial.one() if k == 0 else Polynomial.zero()
-    elif k >= s + 1:
-        result = (
-            _modular_rec(n, k - s - 1, s, memo).mul_power(n, s + 1)
-            + _modular_rec(n - 1, k - 1, s, memo).mul_power(n, 1)
-            + _modular_rec(n - 1, k, s, memo)
-        )
-    else:
-        result = Polynomial.zero()
-        for j in _residue_parts(k, s, 1):
-            result = result + _modular_rec(n - 1, k - j, s, memo).mul_power(n, j)
-    memo[key] = result
-    return result
+def _modular_rec(n: int, k: int, s: int) -> list[Polynomial]:
+    # The row [M_0, ..., M_k] of x_1..x_n, built bottom-up one variable at a
+    # time by M_d(i) = M_d(i-1) + x_i M_{d-1}(i-1) + x_i^{s+1} M_{d-s-1}(i),
+    # a term of negative degree read as 0: an admissible part is 0 or 1 plus
+    # a multiple of s+1.
+    row = [Polynomial.one()] + [Polynomial.zero()] * k
+    for i in range(1, n + 1):
+        prev, row = row, []
+        for d in range(k + 1):
+            m = prev[d]
+            if d:
+                m = m + prev[d - 1].mul_power(i, 1)
+            if d > s:
+                m = m + row[d - s - 1].mul_power(i, s + 1)
+            row.append(m)
+    return row
 
 
 def _modular_conv(n: int, k: int, s: int, h_power: int) -> Polynomial:
@@ -197,7 +190,7 @@ def modular_sym(n: int, k: int, s: int, method: str = "enumeration") -> Polynomi
     if method == "enumeration":
         return lmodular_sym(n, k, s, 1)
     if method == "recurrence":
-        return _modular_rec(n, k, s, {})
+        return _modular_rec(n, k, s)[k]
     if method == "convolution":
         return _modular_conv(n, k, s, s + 1)
     raise ValueError(

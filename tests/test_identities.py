@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from modsym import enumeration, identities, stirling
+from modsym import enumeration, identities, stirling, symfun
 from modsym.cli import main
 from modsym.identities import (
     Ranges,
@@ -18,6 +18,7 @@ from modsym.identities import (
     verify,
     verify_all,
 )
+from modsym.polycore import Polynomial
 
 EXPECTED_IDS = [
     "GF_M", "REC3", "REC4", "PATHS", "TILINGS", "ALLONES",
@@ -316,6 +317,29 @@ def _bump_count(cell, probe):
     return bump
 
 
+_X1X2 = Polynomial({(1, 1): 1})
+
+
+def _bump_modular_row(rec):
+    # M_2 of x_1, x_2 in every row that holds it
+    def patched(n, k, s):
+        row = rec(n, k, s)
+        if n == 2 and k >= 2:
+            row[2] = row[2] + _X1X2
+        return row
+
+    return patched
+
+
+def _bump_composition(walk):
+    # the walk of degree 2 into 2 parts, whatever its parts list
+    def patched(num_vars, degree, parts):
+        out = walk(num_vars, degree, parts)
+        return out + _X1X2 if (num_vars, degree) == (2, 2) else out
+
+    return patched
+
+
 _S1_CELL = _bump_point_sums(2, (0, 1), 0)  # [3,3]^(1), parts at most 1
 _S2_CELL = _bump_point_sums(2, (0, 1, 2, 3), 3)  # {5,2}^(1), all parts
 _S2_TABLE = _bump_s2_table((5, 2), 1)
@@ -350,6 +374,14 @@ ROUTE_CORES = [
     ("S1MOD_PART", enumeration, "_count_partitions_by_diffs", _PART_BOUNDED),
     ("PART_MOD", enumeration, "_count_partitions_by_diffs", _PART_MOD),
     ("PART_ZERO", enumeration, "_count_partitions_by_diffs", _PART_ZERO),
+    ("GF_M", symfun, "_modular_rec", _bump_modular_row),
+    *(
+        (key, symfun, "_composition_poly", _bump_composition)
+        for key in (
+            "REC3", "REC4", "PATHS", "TILINGS", "ALLONES", "LMOD", "EVANISH",
+            "CONV_HE", "INV_H", "INV_E", "INV_ZERO", "EH_ME",
+        )
+    ),
 ]
 
 

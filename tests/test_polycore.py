@@ -112,6 +112,14 @@ class TestPolynomial:
         assert Polynomial({(): 1}) == 1
 
 
+@given(p=polys)
+def test_sorted_terms_is_padded_grlex(p):
+    # reference: compare exponent vectors padded to one width
+    width = p.num_vars()
+    ref = sorted(p.terms, key=lambda e: (sum(e), e + (0,) * (width - len(e))))
+    assert [e for e, _ in p.sorted_terms()] == ref[::-1]
+
+
 @given(a=polys, b=polys)
 def test_add_and_mul_commute(a, b):
     assert a + b == b + a

@@ -107,6 +107,10 @@ class TestModularSym:
                 for s in (1, 2, 3):
                     assert modular_sym(n, k, s) == brute_modular(n, k, s)
 
+    def test_recurrence_walks_many_variables(self):
+        # the row is built bottom-up, so no recursion depth grows with n
+        assert modular_sym(1200, 1, 1, "recurrence") == modular_sym(1200, 1, 1)
+
     def test_s1_collapse_to_h(self):
         for n in range(6):
             for k in range(6):
