@@ -28,8 +28,11 @@ the walk: there is no multiplication by a block count and no memo, either
 of which would turn the oracle into the composition sum it is checked
 against.  The counter is its own walk rather than a count over the
 generator, and tallies the placements of element n in its parent's loop
-instead of a call per leaf.  All permutation families read S_n from one
-walk, ``_all_cycle_perms``.
+instead of a call per leaf.  ``SetPartition`` and ``CyclePermutation``
+share one validation body, ``_Parts``.  All permutation families read S_n
+from one walk of cycle tuples, ``_all_cycle_perms``, and build an object
+only for a permutation they yield; the nested min-set count is a loop over
+the tuple entries.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from modsym.polycore import Polynomial
 
@@ -46,32 +49,42 @@ from modsym.polycore import Polynomial
 # set partitions
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """Blocks of [n], pairwise disjoint, ordered by their minima."""
-
-    blocks: tuple[tuple[int, ...], ...]
+class _Parts:
+    # Body shared by SetPartition and CyclePermutation: nonempty parts in the
+    # subclass's one field, ordered by their first elements and holding 1..n
+    # exactly once between them, each passing the subclass's _part_ok (whose
+    # failure _rule states); _noun names a part in messages.
 
     def __post_init__(self):
-        seen: set[int] = set()
-        minima = []
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
-            if list(block) != sorted(block):
-                raise ValueError(f"block {block} not sorted")
-            if seen & set(block):
-                raise ValueError("blocks are not disjoint")
-            seen.update(block)
-            minima.append(block[0])
-        if minima != sorted(minima):
-            raise ValueError("blocks not ordered by minima")
-        if seen and (min(seen) != 1 or seen != set(range(1, max(seen) + 1))):
-            raise ValueError("blocks do not cover an initial segment [n]")
+        parts = self._parts
+        for part in parts:
+            if not part:
+                raise ValueError(f"empty {self._noun}")
+            if not self._part_ok(part):
+                raise ValueError(f"{self._noun} {part} {self._rule}")
+        firsts = [part[0] for part in parts]
+        if firsts != sorted(firsts):
+            raise ValueError(f"{self._noun}s not ordered by their first elements")
+        elements = sorted(chain.from_iterable(parts))
+        if elements != list(range(1, len(elements) + 1)):
+            raise ValueError(f"{self._noun}s do not hold 1..n exactly once")
+
+    @property
+    def _parts(self) -> tuple[tuple[int, ...], ...]:
+        return getattr(self, self.__match_args__[0])  # the one field
 
     @property
     def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return sum(map(len, self._parts))
+
+
+@dataclass(frozen=True)
+class SetPartition(_Parts):
+    """Blocks of [n], pairwise disjoint, ordered by their minima."""
+
+    blocks: tuple[tuple[int, ...], ...]
+    _noun, _rule = "block", "not sorted"
+    _part_ok = staticmethod(lambda block: list(block) == sorted(block))
 
     @property
     def num_blocks(self) -> int:
@@ -413,31 +426,12 @@ def tiling_to_path(t: Tiling) -> LatticePath:
 
 
 @dataclass(frozen=True)
-class CyclePermutation:
+class CyclePermutation(_Parts):
     """Cycles led by their minima, ordered by ascending minima."""
 
     cycles: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        leads = []
-        for cycle in self.cycles:
-            if not cycle:
-                raise ValueError("empty cycle")
-            if cycle[0] != min(cycle):
-                raise ValueError(f"cycle {cycle} not led by its minimum")
-            if seen & set(cycle):
-                raise ValueError("cycles are not disjoint")
-            seen.update(cycle)
-            leads.append(cycle[0])
-        if leads != sorted(leads):
-            raise ValueError("cycles not ordered by ascending minima")
-        if seen and (min(seen) != 1 or seen != set(range(1, max(seen) + 1))):
-            raise ValueError("cycles do not cover an initial segment [n]")
-
-    @property
-    def n(self) -> int:
-        return sum(len(c) for c in self.cycles)
+    _noun, _rule = "cycle", "not led by its minimum"
+    _part_ok = staticmethod(lambda cycle: cycle[0] == min(cycle))
 
     @property
     def num_cycles(self) -> int:
@@ -445,7 +439,7 @@ class CyclePermutation:
 
     def min_set(self) -> frozenset[int]:
         """The set of cycle minima."""
-        return frozenset(c[0] for c in self.cycles)
+        return _min_set(self.cycles)
 
     def one_line(self) -> tuple[int, ...]:
         image = {}
@@ -458,11 +452,9 @@ class CyclePermutation:
         return "".join("(" + " ".join(str(e) for e in c) + ")" for c in self.cycles)
 
 
-def cycles_from_one_line(perm: Sequence[int]) -> CyclePermutation:
-    """Standard cycle form of a permutation given in one-line notation."""
+def _cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    # Standard cycle form of a permutation of [n] in one-line notation.
     n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"{perm!r} is not a permutation of [{n}]")
     seen = [False] * (n + 1)
     cycles = []
     for start in range(1, n + 1):
@@ -476,25 +468,38 @@ def cycles_from_one_line(perm: Sequence[int]) -> CyclePermutation:
             seen[e] = True
             e = perm[e - 1]
         cycles.append(tuple(cycle))
-    return CyclePermutation(tuple(cycles))
+    return tuple(cycles)
 
 
-def _all_cycle_perms(n: int) -> Iterator[CyclePermutation]:
-    # The one walk over S_n, by one-line lex order.
-    return map(cycles_from_one_line, permutations(range(1, n + 1)))
+def cycles_from_one_line(perm: Sequence[int]) -> CyclePermutation:
+    """Standard cycle form of a permutation given in one-line notation."""
+    n = len(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"{perm!r} is not a permutation of [{n}]")
+    return CyclePermutation(_cycles(perm))
+
+
+def _all_cycle_perms(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    # The one walk over S_n, by one-line lex order, as standard cycle tuples;
+    # callers build a CyclePermutation only for the permutations they yield.
+    return map(_cycles, permutations(range(1, n + 1)))
+
+
+def _min_set(cycles: tuple[tuple[int, ...], ...]) -> frozenset[int]:
+    return frozenset(c[0] for c in cycles)
 
 
 def gen_cycle_perms(n: int, k: int) -> Iterator[CyclePermutation]:
     """All permutations of [n] with exactly k cycles, by one-line lex order."""
     if n < k or k < 0:
         raise ValueError(f"need n >= k >= 0, got ({n}, {k})")
-    return (cp for cp in _all_cycle_perms(n) if cp.num_cycles == k)
+    return (CyclePermutation(c) for c in _all_cycle_perms(n) if len(c) == k)
 
 
 def _min_set_tally(n: int, k: int | None = None) -> Counter:
     # Multiplicity of each cycle-minima set over S_n (or over the k-cycle slice).
     return Counter(
-        cp.min_set() for cp in _all_cycle_perms(n) if k is None or cp.num_cycles == k
+        _min_set(c) for c in _all_cycle_perms(n) if k is None or len(c) == k
     )
 
 
@@ -528,36 +533,24 @@ def count_nested_minset_tuples(n: int, k: int, s: int) -> int:
     """s-tuples (p_1..p_s) of permutations of [n] with min-sets nested
     downward (min(p_i) inside min(p_{i-1})) and total minima count k+s-1.
 
-    Counts over min-set classes of the enumerated permutations, with a memo
-    over (position, current set, minima still needed).
+    One pass over the s entries counts tuple prefixes by (last min-set,
+    minima used), over the min-set classes of the enumerated permutations.
     """
     target = _nested_target(n, k, s)
     if target is None:
         return 0
     tally = _min_set_tally(n)
-    sets = sorted(tally, key=sorted)
-    memo: dict = {}
-
-    def chains(depth: int, prev: frozenset, left: int) -> int:
-        if depth == s:
-            return 1 if left == 0 else 0
-        key = (depth, prev, left)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for m in sets:
-            size = len(m)
-            if depth and not m <= prev:
-                continue
-            # every later tuple entry needs at least one cycle
-            if size > left - (s - depth - 1):
-                continue
-            total += tally[m] * chains(depth + 1, m, left - size)
-        memo[key] = total
-        return total
-
-    return chains(0, frozenset(range(1, n + 1)), target)
+    # [n] stands before the first entry, and each later entry keeps back
+    # one minimum at least
+    ways = Counter({(frozenset(range(1, n + 1)), 0): 1})
+    for depth in range(s):
+        cap = target - (s - depth - 1)
+        ways, prefixes = Counter(), ways
+        for (prev, used), w in prefixes.items():
+            for m, c in tally.items():
+                if m <= prev and used + len(m) <= cap:
+                    ways[m, used + len(m)] += w * c
+    return sum(w for (_, used), w in ways.items() if used == target)
 
 
 def gen_nested_tuples(
@@ -568,22 +561,18 @@ def gen_nested_tuples(
     target = _nested_target(n, k, s)
     if target is None:
         return iter(())
-    perms = list(_all_cycle_perms(n))
+    perms = [(c, _min_set(c)) for c in _all_cycle_perms(n)]
 
-    def rec(depth: int, chosen: list[CyclePermutation], used: int):
+    def rec(depth: int, chosen: list, prev: frozenset, used: int):
         if depth == s:
             if used == target:
-                yield tuple(chosen)
+                yield tuple(map(CyclePermutation, chosen))
             return
-        for cp in perms:
-            m = cp.min_set()
-            if depth and not m <= chosen[-1].min_set():
-                continue
-            nxt = used + len(m)
-            if nxt > target - (s - depth - 1):
-                continue
-            chosen.append(cp)
-            yield from rec(depth + 1, chosen, nxt)
-            chosen.pop()
+        cap = target - (s - depth - 1)
+        for c, m in perms:
+            if m <= prev and used + len(m) <= cap:
+                chosen.append(c)
+                yield from rec(depth + 1, chosen, m, used + len(m))
+                chosen.pop()
 
-    return rec(0, [], 0)
+    return rec(0, [], frozenset(range(1, n + 1)), 0)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from math import gcd
 
-from modsym import stirling
+from modsym import stirling, symfun
 from modsym.enumeration import (
     count_equal_minset_tuples,
     count_nested_minset_tuples,
@@ -293,9 +293,9 @@ class _Skip(Exception):
 
 def _check_gf_m(ctx: _Ctx, p: dict, r: Ranges):
     # the series against the recurrence route, which no other identity reads;
-    # each (n, k, s) is read once here, so the call bypasses the memo
+    # one row per (n, s) holds every k of the column
     lhs = ctx(modular_series, p["n"], p["s"], r.k_max).coefficient(p["k"])
-    rhs = modular_sym(p["n"], p["k"], p["s"], "recurrence")
+    rhs = ctx(symfun._modular_rec, p["n"], r.k_max, p["s"])[p["k"]]
     return lhs, rhs
 
 
@@ -395,7 +395,7 @@ def _check_part_zero(ctx: _Ctx, p: dict, r: Ranges):
     if (n - k) % (s + 1):
         raise _Skip("requires s+1 to divide n-k")
     lhs = count_partitions_zeromod(n, k, s)
-    rhs = ctx(h_at_powered_points, k, (n - k) // (s + 1), s)
+    rhs = h_at_powered_points(k, (n - k) // (s + 1), s)
     return lhs, rhs
 
 

@@ -18,6 +18,7 @@ and JSON output follows this order, which keeps golden-file tests stable.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from operator import add
 from types import MappingProxyType
 
 Monomial = tuple[int, ...]
@@ -158,13 +159,9 @@ class Polynomial:
             return Polynomial.zero()
         acc: dict[Monomial, int] = {}
         for ea, ca in self._terms.items():
-            la = len(ea)
             for eb, cb in other._terms.items():
-                lb = len(eb)
-                if la >= lb:
-                    mono = tuple(ea[i] + (eb[i] if i < lb else 0) for i in range(la))
-                else:
-                    mono = tuple((ea[i] if i < la else 0) + eb[i] for i in range(lb))
+                # the longer tail is already trimmed, so the sum stays canonical
+                mono = tuple(map(add, ea, eb)) + ea[len(eb):] + eb[len(ea):]
                 s = acc.get(mono, 0) + ca * cb
                 if s:
                     acc[mono] = s

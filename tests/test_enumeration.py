@@ -163,6 +163,12 @@ class TestSetPartitions:
             SetPartition(((1, 2), (2, 3)))  # overlap
         with pytest.raises(ValueError):
             SetPartition(((1, 3),))  # gap: not an initial segment
+        with pytest.raises(ValueError):
+            SetPartition(((1, 2, 2), (3,)))  # repeat inside one block
+        with pytest.raises(ValueError):
+            SetPartition(((1, 1),))
+        with pytest.raises(ValueError):
+            SetPartition(((1,), ()))  # empty block
 
 
 class TestDiffVector:
@@ -431,7 +437,25 @@ class TestCyclePermutations:
         with pytest.raises(ValueError):
             CyclePermutation(((2, 1),))  # not led by minimum
         with pytest.raises(ValueError):
+            CyclePermutation(((1, 2, 2),))  # repeat inside one cycle
+        with pytest.raises(ValueError):
+            CyclePermutation(((),))  # empty cycle
+        with pytest.raises(ValueError):
             cycles_from_one_line((1, 1, 3))
+
+    def test_builds_only_the_yielded_objects(self, monkeypatch):
+        built = []
+        check = CyclePermutation.__post_init__
+
+        def counted_check(cp):
+            built.append(cp)
+            check(cp)
+
+        monkeypatch.setattr(CyclePermutation, "__post_init__", counted_check)
+        assert [str(cp) for cp in gen_cycle_perms(7, 7)] == [
+            "(1)(2)(3)(4)(5)(6)(7)"
+        ]
+        assert len(built) == 1
 
 
 class TestMinSetTuples:

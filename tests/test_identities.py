@@ -340,6 +340,26 @@ def _bump_composition(walk):
     return patched
 
 
+def _bump_tally(tally):
+    # one extra permutation of [3] in the least min-set of every tally
+    def patched(n, k=None):
+        out = tally(n, k)
+        if n == 3 and out:
+            out[min(out, key=sorted)] += 1
+        return out
+
+    return patched
+
+
+def _bump_higher_rows(rows):
+    # [3,2]_s in every level-s row walk
+    def patched(s):
+        for n, row in enumerate(rows(s)):
+            yield row[:2] + [row[2] + 1] + row[3:] if n == 3 else row
+
+    return patched
+
+
 _S1_CELL = _bump_point_sums(2, (0, 1), 0)  # [3,3]^(1), parts at most 1
 _S2_CELL = _bump_point_sums(2, (0, 1, 2, 3), 3)  # {5,2}^(1), all parts
 _S2_TABLE = _bump_s2_table((5, 2), 1)
@@ -375,6 +395,9 @@ ROUTE_CORES = [
     ("PART_MOD", enumeration, "_count_partitions_by_diffs", _PART_MOD),
     ("PART_ZERO", enumeration, "_count_partitions_by_diffs", _PART_ZERO),
     ("GF_M", symfun, "_modular_rec", _bump_modular_row),
+    ("NESTED", enumeration, "_min_set_tally", _bump_tally),
+    ("HIGHER_REC", enumeration, "_min_set_tally", _bump_tally),
+    ("OMEGA", stirling, "_rows_stirling1_higher", _bump_higher_rows),
     *(
         (key, symfun, "_composition_poly", _bump_composition)
         for key in (
