@@ -16,23 +16,19 @@ with H < V, partitions by restricted-growth string, permutations by one-line
 form), so output is deterministic and duplicate-free.  Counting functions
 walk the same enumerations without materializing objects.
 
-The filtered partition generators and the partition counters prune the
-restricted-growth tree by one rule, read from one admissibility table
-(``_admissible``): the predicate on a difference entry is evaluated once per
-value 0..n, and nxt[g] is the least admissible value >= g.  Below a node
-whose last block minimum is m and whose next element is i+1, the next entry
-to be fixed is an opening i-m..n-m-1 or the closing n-m, so the node is cut
-when nxt[i-m] > n-m: no leaf below it passes.  For "every d_i <= s" that is
-"the gap already exceeds s".  Each counted partition is still one step of
-the walk: there is no multiplication by a block count and no memo, either
-of which would turn the oracle into the composition sum it is checked
-against.  The counter is its own walk rather than a count over the
-generator, and tallies the placements of element n in its parent's loop
-instead of a call per leaf.  ``SetPartition`` and ``CyclePermutation``
-share one validation body, ``_Parts``.  All permutation families read S_n
-from one walk of cycle tuples, ``_all_cycle_perms``, and build an object
-only for a permutation they yield; the nested min-set count is a loop over
-the tuple entries.
+The partition generators and counters share one restricted-growth walk,
+``_rgs_placements``, that yields the blocks element n may join below each
+live prefix.  A counter adds one per placement, with no multiplication by a
+block count and no memo, either of which would turn the oracle into the
+composition sum it is checked against.  The walk's cut reads one
+admissibility table (``_admissible``): nxt[g] is the least admissible entry
+>= g.  Below a node whose last block minimum is m and whose next element is
+i+1, the next entry fixed is an opening i-m..n-m-1 or the closing n-m, so
+the node is cut when nxt[i-m] > n-m ("the gap already exceeds s" for
+d_i <= s).  No walk here recurses.  ``SetPartition`` and
+``CyclePermutation`` share one validation body, ``_Parts``; all permutation
+families read S_n from ``_all_cycle_perms`` and build an object only for a
+permutation they yield.
 """
 
 from __future__ import annotations
@@ -128,35 +124,59 @@ def _admissible(n: int, entry_ok) -> tuple[list[bool], list[int]]:
     return ok, nxt
 
 
-def _iter_rgs(n: int, k: int, entry_ok=None) -> Iterator[list[int]]:
-    # Restricted growth strings for partitions of [n] into exactly k blocks,
-    # lexicographic order.  The yielded buffer is reused: copy before keeping.
-    # With entry_ok, only strings whose difference entries all pass it are
-    # walked.  rec(i, used, m) places element i+1 with last block minimum m;
-    # opening a block there fixes the entry i-m.  A child is entered only if
-    # the module docstring's cut leaves it alive, which at the last element
-    # is the check of the closing entry.  Existing blocks are tried before
-    # the new one, so the order stays lexicographic.  No block opens past k,
-    # and an existing one is reused only while the positions left can still
-    # open the rest, so every leaf has exactly k blocks.
-    if k < 0 or n < 0 or k > n:
+def _rgs_placements(n: int, k: int, entry_ok, buf: list[int]) -> Iterator[range]:
+    # The one restricted-growth walk (n >= 1).  It fixes buf[:n-1] in
+    # lexicographic order, existing blocks before the new one, and for each
+    # prefix the cut leaves alive yields the blocks element n may join.
+    # Level i places element i+1 after used[i] blocks, the last at mins[i].
+    ok, nxt = _admissible(n, entry_ok)
+    last = n - 1
+    first = range(0 < k <= n and nxt[0] < n)  # block 0 fixes no entry
+    if not last:
+        yield first
         return
-    ok, nxt = _admissible(n, entry_ok or (lambda d: True))
+    used, mins, todo = [0] * last, [0] * last, [iter(first)] * last
+    i = 0
+    while i >= 0:
+        u, m = used[i], mins[i]
+        j = i + 1
+        choices = None  # shared by the existing-block children
+        for b in todo[i]:
+            buf[i] = b
+            if b == u:  # the new block, tried last
+                u, m, choices = u + 1, j, None
+            if choices is None:
+                # the blocks element j+1 may join: an existing one while the
+                # later elements can still open the rest, a new one at entry j-m
+                new = u < k and ok[j - m] and nxt[0] < n - j
+                if u + n - j - 1 >= k and nxt[j + 1 - m] <= n - m:
+                    choices = range(u + new)
+                else:
+                    choices = range(u, u + new)
+            if not choices:
+                continue
+            if j == last:
+                yield choices
+            else:
+                i = j
+                used[i], mins[i], todo[i] = u, m, iter(choices)
+                break
+        else:
+            i -= 1
+
+
+def _iter_rgs(n: int, k: int, entry_ok=None) -> Iterator[list[int]]:
+    # Restricted growth strings of the partitions of [n] into k blocks, in
+    # lexicographic order.  The yielded buffer is reused: copy before keeping.
+    if n < 1:
+        if n == k == 0:
+            yield []
+        return
     buf = [0] * n
-
-    def rec(i: int, used: int, last_min: int) -> Iterator[list[int]]:
-        if i == n:
+    for placements in _rgs_placements(n, k, entry_ok or (lambda d: True), buf):
+        for b in placements:
+            buf[-1] = b
             yield buf
-            return
-        if used + n - i - 1 >= k and nxt[i + 1 - last_min] <= n - last_min:
-            for b in range(used):
-                buf[i] = b
-                yield from rec(i + 1, used, last_min)
-        if used < k and (used == 0 or ok[i - last_min]) and nxt[0] < n - i:
-            buf[i] = used
-            yield from rec(i + 1, used + 1, i + 1)
-
-    yield from rec(0, 0, 0)
 
 
 def _partition_from_rgs(w: Sequence[int]) -> SetPartition:
@@ -209,34 +229,11 @@ def _check_nks(n: int, k: int, s: int):
 
 
 def _count_partitions_by_diffs(n: int, k: int, entry_ok) -> int:
-    # The restricted-growth walk of _iter_rgs, counting instead of yielding
-    # (n >= k >= 1): every entry is checked once in the table, each child is
-    # entered only if the cut leaves it alive, and the node placing element n
-    # adds one per surviving placement in its own loop.  Block 1 holds
-    # element 1, so the walk starts at element 2.
-    ok, nxt = _admissible(n, entry_ok)
-    if n == 1:
-        return int(ok[0])
+    # The walk of _iter_rgs (n >= k >= 1), one step per counted partition.
     total = 0
-
-    def rec(i: int, used: int, last_min: int):
-        nonlocal total
-        if i == n - 1:
-            if used == k:  # element n joins a block: closing entry n-m
-                if ok[n - last_min]:
-                    for _ in range(used):
-                        total += 1
-            elif ok[i - last_min] and ok[0]:  # it opens block k, closing 0
-                total += 1
-            return
-        # a new block at element i+1 leaves entries in [0, n-i-1] below it
-        if used < k and ok[i - last_min] and nxt[0] < n - i:
-            rec(i + 1, used + 1, i + 1)
-        if used + n - i - 1 >= k and nxt[i + 1 - last_min] <= n - last_min:
-            for _ in range(used):
-                rec(i + 1, used, last_min)
-
-    rec(1, 1, 1)
+    for placements in _rgs_placements(n, k, entry_ok, [0] * n):
+        for _ in placements:
+            total += 1
     return total
 
 
@@ -370,25 +367,30 @@ def _check_path_args(n: int, k: int, s: int):
 def _gen_step_strings(n: int, k: int, s: int, horiz: str, vert: str) -> Iterator[str]:
     # Lexicographic over the step alphabet with horiz < vert.  A vertical
     # symbol (or the end of the string) closes the current horizontal run,
-    # which must have length 0 or 1 mod s+1.
+    # which must have length 0 or 1 mod s+1.  The stack holds, per position,
+    # (horiz left, vert left, open run) and the letters left to try there.
     step = s + 1
-    buf: list[str] = []
-
-    def rec(h_left: int, v_left: int, run: int) -> Iterator[str]:
-        if h_left == 0 and v_left == 0:
+    size = k + n - 1
+    buf = [horiz] * size
+    state, todo = [(k, n - 1, 0)] * (size + 1), [None] * (size + 1)
+    p = 0
+    while p >= 0:
+        h, v, run = state[p]
+        if p == size:
             if run % step <= 1:
                 yield "".join(buf)
-            return
-        if h_left:
-            buf.append(horiz)
-            yield from rec(h_left - 1, v_left, run + 1)
-            buf.pop()
-        if v_left and run % step <= 1:
-            buf.append(vert)
-            yield from rec(h_left, v_left - 1, 0)
-            buf.pop()
-
-    yield from rec(k, n - 1, 0)
+            p -= 1
+            continue
+        if todo[p] is None:
+            todo[p] = iter(horiz * (h > 0) + vert * (v > 0 and run % step <= 1))
+        for c in todo[p]:
+            buf[p] = c
+            p += 1
+            state[p] = (h - 1, v, run + 1) if c == horiz else (h, v - 1, 0)
+            todo[p] = None
+            break
+        else:
+            p -= 1
 
 
 def gen_lattice_paths(n: int, k: int, s: int) -> Iterator[LatticePath]:
@@ -559,20 +561,31 @@ def gen_nested_tuples(
     """The tuples behind count_nested_minset_tuples, in lexicographic order
     of the one-line forms.  Exhaustive: intended for small n."""
     target = _nested_target(n, k, s)
-    if target is None:
-        return iter(())
-    perms = [(c, _min_set(c)) for c in _all_cycle_perms(n)]
+    return iter(()) if target is None else _nested_walk(n, target, s)
 
-    def rec(depth: int, chosen: list, prev: frozenset, used: int):
+
+def _nested_walk(n: int, target: int, s: int) -> Iterator[tuple[CyclePermutation, ...]]:
+    # The stack holds, per tuple entry, (last min-set, minima used) before
+    # it and the permutations left to try there.  [n] stands before the
+    # first entry, and each later entry keeps back one minimum at least.
+    perms = [(c, _min_set(c)) for c in _all_cycle_perms(n)]
+    chosen = [None] * s
+    state = [(frozenset(range(1, n + 1)), 0)] * (s + 1)
+    todo = [iter(perms)] * (s + 1)
+    depth = 0
+    while depth >= 0:
+        prev, used = state[depth]
         if depth == s:
             if used == target:
                 yield tuple(map(CyclePermutation, chosen))
-            return
+            depth -= 1
+            continue
         cap = target - (s - depth - 1)
-        for c, m in perms:
+        for c, m in todo[depth]:
             if m <= prev and used + len(m) <= cap:
-                chosen.append(c)
-                yield from rec(depth + 1, chosen, m, used + len(m))
-                chosen.pop()
-
-    return rec(0, [], frozenset(range(1, n + 1)), 0)
+                chosen[depth] = c
+                depth += 1
+                state[depth], todo[depth] = (m, used + len(m)), iter(perms)
+                break
+        else:
+            depth -= 1

@@ -214,18 +214,12 @@ def h_at_powered_points(n: int, j: int, s: int) -> int:
 
 def ps1_rhs(n: int, k: int, s: int, *, _shift: int = 0) -> int:
     """sum_i h_{floor(k/(s+1))-i}(powered points) * [n+1, n+1-r-i(s+1)],
-    with r = k mod (s+1): the first-kind expansion of {n+k, n}^(s).
+    with r = k mod (s+1): the first-kind expansion of {n+k, n}^(s), which
+    is lmod_rhs at ell = 1.
 
     A nonzero ``_shift`` perturbs the remainder to (k+_shift) mod (s+1);
     only the mutation self-test sets it."""
-    r = (k + _shift) % (s + 1)
-    hi = min((n - r) // (s + 1), k // (s + 1))
-    total = 0
-    for i in range(hi + 1):
-        total += h_at_powered_points(n, k // (s + 1) - i, s) * stirling1(
-            n + 1, n + 1 - r - i * (s + 1)
-        )
-    return total
+    return lmod_rhs(n, k, s, 1, _shift=_shift)
 
 
 def fermat_rhs(n: int, k: int, p: int) -> int:
@@ -238,12 +232,15 @@ def fermat_rhs(n: int, k: int, p: int) -> int:
     return total
 
 
-def lmod_rhs(n: int, k: int, s: int, ell: int) -> int:
+def lmod_rhs(n: int, k: int, s: int, ell: int, *, _shift: int = 0) -> int:
     """The level-ell analogue of ps1_rhs, with r the residue of k * ell^{-1}
-    mod s+1 and the first-kind bracket read at level ell."""
+    mod s+1 and the first-kind bracket read at level ell.
+
+    A nonzero ``_shift`` perturbs r to ((k+_shift) * ell^{-1}) mod (s+1);
+    only the mutation self-test sets it, through ps1_rhs."""
     if gcd(ell, s + 1) != 1:
         raise ValueError(f"ell = {ell} is not invertible mod {s + 1}")
-    r = (k * pow(ell, -1, s + 1)) % (s + 1)
+    r = ((k + _shift) * pow(ell, -1, s + 1)) % (s + 1)
     base = k // (s + 1) - (r * ell) // (s + 1)
     hi = min((n - r) // (s + 1), base)
     total = 0

@@ -22,7 +22,8 @@ first kind:
 
 Each triangle recurrence is written once, as a generator of successive
 rows; the scalar functions read row n from it and ``triangle_rows`` takes the
-first rows.  Rows are built bottom-up, so row counts in the hundreds stay
+first rows.  The classical first kind is the level-1 row of the higher
+level.  Rows are built bottom-up, so row counts in the hundreds stay
 cheap and no recursion depth is ever an issue.
 
 Both specializations are one walk over compositions, ``_point_sums``, that
@@ -90,16 +91,6 @@ def _rows_stirling2() -> Iterator[list[int]]:
         row = [0] + [row[j - 1] + j * row[j] if j < i else row[j - 1] for j in range(1, i + 1)]
 
 
-def _rows_stirling1() -> Iterator[list[int]]:
-    # rows [[n,0], ..., [n,n]] for n = 0, 1, 2, ...
-    row = [1]
-    for i in count(1):
-        yield row
-        row = [0] + [
-            (i - 1) * (row[j] if j < i else 0) + row[j - 1] for j in range(1, i + 1)
-        ]
-
-
 def _rows_stirling1_higher(s: int) -> Iterator[list[int]]:
     # rows [[n,0]_s, ..., [n,n]_s] for n = 0, 1, 2, ...
     row = [1]
@@ -138,12 +129,9 @@ def stirling2(n: int, k: int) -> int:
 
 
 def stirling1(n: int, k: int) -> int:
-    """Unsigned [n,k] via [n,k] = (n-1)*[n-1,k] + [n-1,k-1], [0,0] = 1."""
-    if n < 0 or k < 0:
-        raise ValueError(f"n and k must be >= 0, got ({n}, {k})")
-    if k > n:
-        return 0
-    return _nth_row(_rows_stirling1(), n)[k]
+    """Unsigned [n,k] via [n,k] = (n-1)*[n-1,k] + [n-1,k-1], [0,0] = 1: the
+    level-1 rows of stirling1_higher."""
+    return stirling1_higher(n, k, 1)
 
 
 def _stirling2_mod_table(
@@ -337,10 +325,8 @@ def triangle_rows(family: str, s: int, n_max: int) -> list[list[int]]:
         ]
     if family == "stirling2":
         rows = _rows_stirling2()
-    elif family == "stirling1":
-        rows = _rows_stirling1()
     else:
-        rows = _rows_stirling1_higher(s)
+        rows = _rows_stirling1_higher(1 if family == "stirling1" else s)
     return list(islice(rows, n_max + 1))
 
 

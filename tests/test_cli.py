@@ -264,6 +264,22 @@ class TestEnumerate:
             main(["enumerate", "--family", "paths", "--n", "3"])
         assert exc.value.code == 2
 
+    # one object each, a thousand elements, steps or tuple entries deep
+    @pytest.mark.parametrize("argv", [
+        "partitions --n 1100 --k 1100",
+        "partitions-mod --n 1100 --k 1100 --s 1",
+        "partitions-bounded --board 1100 --blocks 1100 --s 0",
+        "paths --n 1100 --k 0 --s 1",
+        "tilings --n 1 --k 1100 --s 1",
+        "nested-tuples --n 1 --k 1 --s 1100",
+    ])
+    def test_deep_one_object_family(self, capsys, argv):
+        code = main(["enumerate", "--family", *argv.split()])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.endswith("count: 1\n")
+        assert captured.err == ""
+
     # The CLI must call each generator through the module attribute at request
     # time: perfbench's tracer rebinds enumeration.gen_* to time the stream.
     @pytest.mark.parametrize("gen_name,argv", [

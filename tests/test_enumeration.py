@@ -102,6 +102,51 @@ def _unpruned_rgs(n, k, entry_ok=None):
     yield from rec(0, 0, 0)
 
 
+def _recursive_step_strings(n, k, s, horiz, vert):
+    # The step-string walk before its explicit stack, one recursion per step.
+    step = s + 1
+    buf = []
+
+    def rec(h_left, v_left, run):
+        if h_left == 0 and v_left == 0:
+            if run % step <= 1:
+                yield "".join(buf)
+            return
+        if h_left:
+            buf.append(horiz)
+            yield from rec(h_left - 1, v_left, run + 1)
+            buf.pop()
+        if v_left and run % step <= 1:
+            buf.append(vert)
+            yield from rec(h_left, v_left - 1, 0)
+            buf.pop()
+
+    yield from rec(k, n - 1, 0)
+
+
+def _recursive_nested_tuples(n, k, s):
+    # The nested-tuple walk before its explicit stack, one recursion per
+    # tuple entry, yielding tuples of cycle tuples.
+    target = enumeration._nested_target(n, k, s)
+    if target is None:
+        return
+    perms = [(c, enumeration._min_set(c)) for c in enumeration._all_cycle_perms(n)]
+
+    def rec(depth, chosen, prev, used):
+        if depth == s:
+            if used == target:
+                yield tuple(chosen)
+            return
+        cap = target - (s - depth - 1)
+        for c, m in perms:
+            if m <= prev and used + len(m) <= cap:
+                chosen.append(c)
+                yield from rec(depth + 1, chosen, m, used + len(m))
+                chosen.pop()
+
+    yield from rec(0, [], frozenset(range(1, n + 1)), 0)
+
+
 def _filtered_families(s):
     # (counter, generator, entry predicate) for each family defined at s;
     # the all-zero-residue family has no public generator, so its strings
@@ -237,8 +282,8 @@ class TestFilteredPartitionCounts:
                     )
 
     def test_counts_agree_with_generators(self):
-        # Counters and generators prune the same tree by separate walks; both
-        # are held to the plain object-level filter over every partition.
+        # Counters and generators share one pruned walk; both are held to
+        # the plain object-level filter over every partition.
         def reference(n, k, ok):
             return [
                 p for p in gen_set_partitions(n, k) if all(ok(d) for d in diff_vector(p))
@@ -276,6 +321,11 @@ class TestFilteredPartitionCounts:
                     for _, _, ok in _filtered_families(s):
                         got = [tuple(w) for w in enumeration._iter_rgs(n, k, ok)]
                         assert got == list(_unpruned_rgs(n, k, ok)), (n, k, s)
+
+    def test_deep_counts_do_not_recurse(self):
+        assert count_partitions_mod(1100, 1100, 1) == 1
+        assert count_partitions_zeromod(1100, 1100, 1) == 1
+        assert count_partitions_bounded(1100, 1100, 0) == 1
 
     def test_admissibility_table(self):
         ok, nxt = enumeration._admissible(6, lambda d: d % 3 == 1)
@@ -361,6 +411,15 @@ class TestPathsAndTilings:
         cells = [t.cells for t in gen_tilings(4, 5, 2)]
         assert cells == sorted(cells)
         assert len(set(cells)) == len(cells)
+
+    def test_order_matches_the_recursive_reference(self):
+        for n in range(1, 6):
+            for k in range(9):
+                for s in range(1, 4):
+                    paths = [p.steps for p in gen_lattice_paths(n, k, s)]
+                    assert paths == list(_recursive_step_strings(n, k, s, "H", "V"))
+                    cells = [t.cells for t in gen_tilings(n, k, s)]
+                    assert cells == list(_recursive_step_strings(n, k, s, "B", "G"))
 
     def test_run_lengths_constraint(self):
         for t in gen_tilings(3, 5, 2):
@@ -518,6 +577,16 @@ class TestMinSetTuples:
                         assert sum(len(cp.min_set()) for cp in tup) == k + s - 1
                         for a, b in zip(tup, tup[1:]):
                             assert b.min_set() <= a.min_set()
+
+    def test_nested_generator_order_matches_the_recursive_reference(self):
+        for n in range(1, 4):
+            for s in range(1, 4):
+                for k in range(1 - s, n * s + 2):
+                    got = [
+                        tuple(cp.cycles for cp in tup)
+                        for tup in gen_nested_tuples(n, k, s)
+                    ]
+                    assert got == list(_recursive_nested_tuples(n, k, s)), (n, k, s)
 
     def test_nested_paper_tuples_n3_k4_s3(self):
         tuples = list(gen_nested_tuples(3, 4, 3))

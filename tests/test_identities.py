@@ -317,6 +317,20 @@ def _bump_count(cell, probe):
     return bump
 
 
+def _bump_placements(cell, probe):
+    # one extra placement of element n at cell = (n, k) in the shared
+    # restricted-growth walk, under the entry predicates that admit probe
+    def bump(walk):
+        def patched(n, k, entry_ok, buf):
+            yield from walk(n, k, entry_ok, buf)
+            if (n, k) == cell and entry_ok(probe):
+                yield range(1)
+
+        return patched
+
+    return bump
+
+
 _X1X2 = Polynomial({(1, 1): 1})
 
 
@@ -372,6 +386,9 @@ _S2_BAND = _bump_s2_table((3, 2), 2)
 _PART_BOUNDED = _bump_count((7, 3), 0)
 _PART_MOD = _bump_count((5, 3), 2)
 _PART_ZERO = _bump_count((5, 3), 0)
+_WALK_BOUNDED = _bump_placements((7, 3), 0)
+_WALK_MOD = _bump_placements((5, 3), 2)
+_WALK_ZERO = _bump_placements((5, 3), 0)
 
 
 ROUTE_CORES = [
@@ -394,6 +411,9 @@ ROUTE_CORES = [
     ("S1MOD_PART", enumeration, "_count_partitions_by_diffs", _PART_BOUNDED),
     ("PART_MOD", enumeration, "_count_partitions_by_diffs", _PART_MOD),
     ("PART_ZERO", enumeration, "_count_partitions_by_diffs", _PART_ZERO),
+    ("S1MOD_PART", enumeration, "_rgs_placements", _WALK_BOUNDED),
+    ("PART_MOD", enumeration, "_rgs_placements", _WALK_MOD),
+    ("PART_ZERO", enumeration, "_rgs_placements", _WALK_ZERO),
     ("GF_M", symfun, "_modular_rec", _bump_modular_row),
     ("NESTED", enumeration, "_min_set_tally", _bump_tally),
     ("HIGHER_REC", enumeration, "_min_set_tally", _bump_tally),
