@@ -26,9 +26,11 @@ admissibility table (``_admissible``): nxt[g] is the least admissible entry
 i+1, the next entry fixed is an opening i-m..n-m-1 or the closing n-m, so
 the node is cut when nxt[i-m] > n-m ("the gap already exceeds s" for
 d_i <= s).  No walk here recurses.  ``SetPartition`` and
-``CyclePermutation`` share one validation body, ``_Parts``; all permutation
-families read S_n from ``_all_cycle_perms`` and build an object only for a
-permutation they yield.
+``CyclePermutation`` share one validation body, ``_Parts``; the partition
+generators build their objects through ``_Parts._trusted``, which skips it,
+while outside construction is still checked.  All permutation families read
+S_n from ``_all_cycle_perms`` and build an object only for a permutation they
+yield.
 """
 
 from __future__ import annotations
@@ -64,6 +66,13 @@ class _Parts:
         elements = sorted(chain.from_iterable(parts))
         if elements != list(range(1, len(elements) + 1)):
             raise ValueError(f"{self._noun}s do not hold 1..n exactly once")
+
+    @classmethod
+    def _trusted(cls, parts: tuple[tuple[int, ...], ...]):
+        # Internal: parts must already pass the check __post_init__ makes.
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, cls.__match_args__[0], parts)
+        return obj
 
     @property
     def _parts(self) -> tuple[tuple[int, ...], ...]:
@@ -180,13 +189,15 @@ def _iter_rgs(n: int, k: int, entry_ok=None) -> Iterator[list[int]]:
 
 
 def _partition_from_rgs(w: Sequence[int]) -> SetPartition:
+    # A restricted-growth string gives sorted blocks ordered by their minima
+    # and holding 1..n once, so the object skips the check.
     blocks: list[list[int]] = []
     for e, b in enumerate(w, start=1):
         if b == len(blocks):
             blocks.append([e])
         else:
             blocks[b].append(e)
-    return SetPartition(tuple(tuple(b) for b in blocks))
+    return SetPartition._trusted(tuple(tuple(b) for b in blocks))
 
 
 def gen_set_partitions(n: int, k: int) -> Iterator[SetPartition]:

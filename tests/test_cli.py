@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -447,6 +448,67 @@ class TestClosedStdout:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 141
         assert err == b""
+
+
+class TestParserReuse:
+    _ARGVS = (
+        ["table", "--family", "stirling2mod", "--s", "2", "--n-max", "5"],
+        ["eval", "--function", "M", "--s", "2", "--k", "3", "--vars", "1,2,3"],
+        ["enumerate", "--family", "partitions", "--n", "4", "--k", "2"],
+        ["verify", "--id", "GF_M", "--n-max", "2", "--k-max", "2", "--s-max", "1"],
+    )
+
+    def test_later_calls_build_no_parser(self, capsys, monkeypatch):
+        main(self._ARGVS[0])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        for _ in range(5):
+            for argv in self._ARGVS:
+                assert main(argv) == 0
+        capsys.readouterr()
+        assert built == []
+
+    # Successes, usage errors found by argparse, usage errors found by a
+    # command, then successes that leave out flags earlier calls gave.
+    _SEQUENCE = (
+        "table --family stirling2mod --s 3 --n-max 6 --format json",
+        "eval --function Ml --s 3 --ell 2 --k 4 --vars 1,2,3 --format json",
+        "enumerate --family partitions-bounded --board 6 --blocks 3 --s 2 --format json",
+        "verify --id GF_M --n-max 3 --k-max 2 --s-max 2",
+        "enumerate --family bogus --n 3 --k 2",
+        "eval --function M --vars 1,2",
+        "eval --function Ml --k 2 --vars 1,2",
+        "eval --function M --k 2 --vars 1,x",
+        "table --family stirling2 --s 0 --n-max 3",
+        "table --family stirling2mod --n-max 6",
+        "eval --function M --k 2 --vars 1,2",
+        "enumerate --family partitions --n 5 --k 2",
+        "verify --id GF_M --n-max 2",
+    )
+
+    def test_calls_match_fresh_processes(self, capsys, monkeypatch):
+        # One fixed width for both sides: argparse wraps usage text to it.
+        monkeypatch.setenv("COLUMNS", "60")
+        src = str(Path(modsym.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        for line in self._SEQUENCE:
+            try:
+                code = main(line.split())
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "modsym.cli", *line.split()],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), line
 
 
 class TestDeterminism:

@@ -215,6 +215,29 @@ class TestSetPartitions:
         with pytest.raises(ValueError):
             SetPartition(((1,), ()))  # empty block
 
+    def test_generated_partitions_skip_the_check_they_pass(self, monkeypatch):
+        built = []
+        check = SetPartition.__post_init__
+
+        def counted_check(p):
+            built.append(p)
+            check(p)
+
+        monkeypatch.setattr(SetPartition, "__post_init__", counted_check)
+        generated = []
+        for n in range(9):
+            for k in range(n + 1):
+                generated += gen_set_partitions(n, k)
+                for s in (1, 2):
+                    if k:
+                        generated += gen_partitions_mod(n, k, s)
+                for s in (0, 1, 2):
+                    if k:
+                        generated += gen_partitions_bounded(n, k, s)
+        assert built == []
+        assert all(SetPartition(p.blocks) == p for p in generated)
+        assert len(built) == len(generated)
+
 
 class TestDiffVector:
     def test_reference_vectors(self):
