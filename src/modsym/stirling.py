@@ -9,22 +9,24 @@ first kind:
   {n,k} = {n-1,k-1} + k{n-2,k-1} + k^{s+1}{n-s-1,k} (``recurrence``), a
   term outside the triangle read as 0.  It needs no seeds: below
   n-k = s+1 the last term vanishes and the first two give
-  e_{n-k}(1..k) = M_{n-k}^(s)(1..k).
+  e_{n-k}(1..k) = M_{n-k}^(s)(1..k).  It is ``symfun._modular_rows`` at
+  the ints 1..k, whose row j is column j of the triangle, as the column
+  series is ``symfun._series_product`` there.
 * ``stirling1_mod``  [n,k]^(s), computed in integer form as
   E_{(n-1)s-(k-1)}^(s)(1..n-1): multiplying the reciprocal-point definition
   through by ((n-1)!)^s turns every exponent a_i into s-a_i, so no rational
   arithmetic is ever needed.
 * ``stirling1_mod_rec``  the same family by its order-s recurrence
-  [n,k]^(s) = sum_{l=0}^{s} [n-1, k-(s-l)]^(s) * (n-1)^l with the single
-  seed value 1 at (n, k) = (0, 1-s).
+  [n,k]^(s) = sum_{l=0}^{s} [n-1, k-(s-l)]^(s) * (n-1)^l, seeded by
+  [0, 1-s]^(s) = 1: row n is row n-1 times sum_l (n-1)^l x^(s-l).
 * ``stirling1_higher``  [n,k]_s with [n,k]_s = [n-1,k-1]_s + (n-1)^s [n-1,k]_s;
   these are the x^k coefficients of omega_poly(n, s).
 
 Each triangle recurrence is written once, as a generator of successive
-rows; the scalar functions read row n from it and ``triangle_rows`` takes the
-first rows.  The classical first kind is the level-1 row of the higher
-level.  Rows are built bottom-up, so row counts in the hundreds stay
-cheap and no recursion depth is ever an issue.
+rows (the modular second kind's in ``symfun``); the scalar functions read
+row n from it and ``triangle_rows`` takes the first rows.  The classical
+first kind is the level-1 row of the higher level.  Rows are built
+bottom-up, so no recursion depth is ever an issue.
 
 Both specializations are one walk over compositions, ``_point_sums``, that
 multiplies out each monomial at the point as it goes and never builds the
@@ -46,7 +48,7 @@ from itertools import count, islice
 import csv
 
 from modsym.polycore import Polynomial, _cauchy
-from modsym.symfun import _residue_parts
+from modsym.symfun import _modular_rows, _residue_parts, _series_product
 
 TRIANGLE_FAMILIES = (
     "stirling2",
@@ -100,23 +102,14 @@ def _rows_stirling1_higher(s: int) -> Iterator[list[int]]:
         row = [0] + [row[j - 1] + w * (row[j] if j < i else 0) for j in range(1, i + 1)]
 
 
-def _rows_stirling1_mod(s: int) -> Iterator[dict[int, int]]:
-    # nonzero values {k: [n,k]^(s)} for n = 0, 1, 2, ..., from the n = 0 seed
-    lo = 1 - s
-    row = {lo: 1}
+def _rows_stirling1_mod(s: int) -> Iterator[list[int]]:
+    # rows [[n, 1-s]^(s), ..., [n, (n-1)s+1]^(s)] for n = 0, 1, 2, ..., from
+    # the n = 0 seed, each the last times sum_t (n-1)^{s-t} x^t
+    row = [1]
     for i in count(1):
         yield row
-        base = i - 1
-        new = {}
-        for kk in range(lo, (i - 1) * s + 2):
-            acc = 0
-            for l in range(s + 1):
-                prev = row.get(kk - (s - l))
-                if prev:
-                    acc += prev * base**l
-            if acc:
-                new[kk] = acc
-        row = new
+        step = [(i - 1) ** (s - t) for t in range(s + 1)]
+        row = _cauchy(row, step, len(row) - 1 + s)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -132,28 +125,6 @@ def stirling1(n: int, k: int) -> int:
     """Unsigned [n,k] via [n,k] = (n-1)*[n-1,k] + [n-1,k-1], [0,0] = 1: the
     level-1 rows of stirling1_higher."""
     return stirling1_higher(n, k, 1)
-
-
-def _stirling2_mod_table(
-    n: int, k_hi: int, s: int, band: bool = False
-) -> list[list[int]]:
-    # rows[i][j] = {i, j}^(s) for 0 <= j <= min(i, k_hi), filled bottom-up by
-    # {i,j} = {i-1,j-1} + j*{i-2,j-1} + j^{s+1}*{i-s-1,j}, a term outside the
-    # triangle read as 0.  Every term keeps i-j or lowers it, so with band
-    # only the cells that {n, k_hi} reads, those with i-j <= n-k_hi, are
-    # filled; the cells left of that band hold 0.
-    rows: list[list[int]] = []
-    for i in range(n + 1):
-        lo = max(1, i - n + k_hi) if band else 1
-        row = [1 if i == 0 else 0] + [0] * (lo - 1)
-        for j in range(lo, min(i, k_hi) + 1):
-            row.append(
-                rows[i - 1][j - 1]
-                + (j * rows[i - 2][j - 1] if i > j else 0)
-                + (j ** (s + 1) * rows[i - s - 1][j] if i - j > s else 0)
-            )
-        rows.append(row)
-    return rows
 
 
 def _point_sums(m: int, parts: Sequence[int], lo: int, hi: int) -> list[int]:
@@ -206,7 +177,7 @@ def stirling2_mod(n: int, k: int, s: int, method: str = "recurrence") -> int:
     if method == "specialization":
         return _stirling2_mod_column(k, s, n - k)[n - k]
     if method == "recurrence":
-        return _stirling2_mod_table(n, k, s, band=True)[n][k]
+        return _nth_row(_modular_rows(range(1, k + 1), 1, n - k, s), k)[n - k]
     raise ValueError(
         f"unknown method {method!r}; expected one of {STIRLING2_MOD_METHODS}"
     )
@@ -247,7 +218,9 @@ def stirling1_mod_rec(n: int, k: int, s: int) -> int:
         raise ValueError(f"n must be >= 0, got {n}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    return _nth_row(_rows_stirling1_mod(s), n).get(k, 0)
+    row = _nth_row(_rows_stirling1_mod(s), n)
+    idx = k + s - 1
+    return row[idx] if 0 <= idx < len(row) else 0
 
 
 def stirling1_higher(n: int, k: int, s: int) -> int:
@@ -294,15 +267,7 @@ def stirling2_mod_series(
         raise ValueError(f"s must be >= 1, got {s}")
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
-    out = [1] + [0] * degree_bound
-    for r in range(1, k + 1):
-        # (1 + r*x^_numerator) * sum_j (r*x)^{(s+1)j}
-        f = [0] * (degree_bound + _numerator + 1)
-        for base in range(0, degree_bound + 1, s + 1):
-            f[base] = r**base
-            f[base + _numerator] = r ** (base + 1)
-        out = _cauchy(out, f, degree_bound)
-    return out
+    return _series_product(range(1, k + 1), s, degree_bound, _numerator)
 
 
 def triangle_rows(family: str, s: int, n_max: int) -> list[list[int]]:
@@ -317,12 +282,12 @@ def triangle_rows(family: str, s: int, n_max: int) -> list[list[int]]:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if family == "stirling2mod":
-        return _stirling2_mod_table(n_max, n_max, s)
+        cols = list(_modular_rows(range(1, n_max + 1), 1, n_max, s, total=n_max))
+        return [[cols[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]
     if family == "stirling1mod":
-        return [
-            [row.get(k, 0) for k in range(max(0, (n - 1) * s + 1) + 1)]
-            for n, row in enumerate(islice(_rows_stirling1_mod(s), n_max + 1))
-        ]
+        # k = 0 is entry s-1; row 0 holds only k = 1-s, so [0,0] = 0 unless s = 1
+        rows = islice(_rows_stirling1_mod(s), n_max + 1)
+        return [row[s - 1 :] or [0] for row in rows]
     if family == "stirling2":
         rows = _rows_stirling2()
     else:

@@ -16,18 +16,23 @@ variable count, and a convolution of h in powered variables with e) that
 must agree on the canonical form; ``modular_series`` provides a fourth via
 the product generating function prod_i (1+x_i t)/(1-(x_i t)^{s+1}).
 
+The recurrence (``_modular_rows``) and the series (``_series_product``) are
+each written once, and the values passed in pick the ring: at the ints 1..k
+they give {n,k}^(s) = M_{n-k}^(s)(1..k), as ``stirling`` reads them.
+
 All functions are pure.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from modsym.polycore import Polynomial, TruncatedSeries, series_mul
+from modsym.polycore import Polynomial, TruncatedSeries, _cauchy
 
 MODULAR_METHODS = ("enumeration", "recurrence", "convolution")
 
@@ -156,22 +161,32 @@ def lmodular_sym(n: int, k: int, s: int, ell: int) -> Polynomial:
     return _composition_poly(n, k, list(_residue_parts(k, s, ell)))
 
 
-def _modular_rec(n: int, k: int, s: int) -> list[Polynomial]:
-    # The row [M_0, ..., M_k] of x_1..x_n, built bottom-up one variable at a
-    # time by M_d(i) = M_d(i-1) + x_i M_{d-1}(i-1) + x_i^{s+1} M_{d-s-1}(i),
-    # a term of negative degree read as 0: an admissible part is 0 or 1 plus
-    # a multiple of s+1.
-    row = [Polynomial.one()] + [Polynomial.zero()] * k
-    for i in range(1, n + 1):
+def _modular_rows(xs: Sequence, one, depth: int, s: int, total=None) -> Iterator:
+    # The rows [M_0, ..., M_depth] of x_1..x_j, for j = 0..len(xs) in turn, by
+    # M_d(j) = M_d(j-1) + x_j M_{d-1}(j-1) + x_j^{s+1} M_{d-s-1}(j), a term of
+    # negative degree read as 0: an admissible part is 0 or 1 plus a multiple
+    # of s+1.  At the ints 1..k (one = 1), row j holds {j+d, j}^(s) at d.
+    # With ``total``, row j stops at degree total - j.
+    row = [one] + [one * 0] * depth
+    for j, x in enumerate(xs, 1):
+        yield row
         prev, row = row, []
-        for d in range(k + 1):
+        w = x ** (s + 1)
+        top = depth if total is None else min(depth, total - j)
+        for d in range(top + 1):
             m = prev[d]
             if d:
-                m = m + prev[d - 1].mul_power(i, 1)
+                m = m + x * prev[d - 1]
             if d > s:
-                m = m + row[d - s - 1].mul_power(i, s + 1)
+                m = m + w * row[d - s - 1]
             row.append(m)
-    return row
+    yield row
+
+
+def _modular_rec(n: int, k: int, s: int) -> list[Polynomial]:
+    # the row [M_0, ..., M_k] of x_1..x_n
+    variables = [Polynomial.variable(i) for i in range(1, n + 1)]
+    return deque(_modular_rows(variables, Polynomial.one(), k, s), maxlen=1)[0]
 
 
 def _modular_conv(n: int, k: int, s: int, h_power: int) -> Polynomial:
@@ -198,6 +213,23 @@ def modular_sym(n: int, k: int, s: int, method: str = "enumeration") -> Polynomi
     )
 
 
+def _series_product(xs: Sequence, s: int, bound: int, numerator: int = 1) -> list:
+    # t^0..t^bound of the product over x of (1 + x t^numerator) times
+    # sum_j (x t)^{(s+1)j}: a factor holds x^b at t^b and x^{b+1} at
+    # t^{b+numerator}, for each multiple b of s+1.
+    out = [1] + [0] * bound
+    for x in xs:
+        w = x ** (s + 1)
+        factor = [0] * (bound + numerator + 1)
+        p = 1
+        for base in range(0, bound + 1, s + 1):
+            factor[base] = p
+            factor[base + numerator] = p * x
+            p = p * w
+        out = _cauchy(out, factor, bound)
+    return out
+
+
 def modular_series(n: int, s: int, degree_bound: int) -> TruncatedSeries:
     """Truncation of prod_{i=1}^n (1+x_i t)/(1-(x_i t)^{s+1}).
 
@@ -209,13 +241,8 @@ def modular_series(n: int, s: int, degree_bound: int) -> TruncatedSeries:
     SymFunParams(n, 0, s)
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
-    result = TruncatedSeries.one(degree_bound)
-    for i in range(1, n + 1):
-        factor = [Polynomial.zero()] * (degree_bound + 1)
-        for m in _residue_parts(degree_bound, s, 1):
-            factor[m] = Polynomial.monomial((0,) * (i - 1) + (m,))
-        result = series_mul(result, TruncatedSeries(factor, degree_bound))
-    return result
+    variables = [Polynomial.variable(i) for i in range(1, n + 1)]
+    return TruncatedSeries(_series_product(variables, s, degree_bound), degree_bound)
 
 
 def modular_all_ones(n: int, k: int, s: int, *, _shift: int = 0) -> int:

@@ -75,6 +75,20 @@ b347fc8ff029d2e490fbd991e897fc0f8c16dd2e1c4952b8a8401bf048e0eeff  enumerate --fa
 ba2ab36479730e9255689639ba5d090138f446fcb2eacd6636cf2590b363d6fc  enumerate --family perms --n 5 --k 2 --format json
 f53390db8f0bd581eb1c5d209f861c178ec6db77b8418bcb28e336fe00f3c3c4  enumerate --family nested-tuples --n 3 --k 3 --s 2
 fdcc1ff491926e8195a0243821017b6b7429d046a56950173b92c9fd0fb02b6a  enumerate --family partitions-bounded --board 6 --blocks 3 --s 2 --format json
+cf5410fc44df3ceffa6c42f5664db1db44d6c7abae8c5b6e2011bd2867ee0e0a  table --family stirling2mod --s 2 --n-max 40 --format text
+89066cbc7ad6e980b1760012b4115cd9de96bca4682f2c291a3517488fec1fe0  table --family stirling2mod --s 2 --n-max 40 --format csv
+0c0a9cec16a19d049e09b081452debba63de7f3673ceb9acc14364f63a1783c5  table --family stirling2mod --s 2 --n-max 40 --format json
+a27ef95a351f487c9c3518e4befc6cb91f38683497a1c54335704fadb2ccba4b  table --family stirling2mod --s 4 --n-max 40 --format text
+a3de45c7e77bc2a565be5d2aeb1265a58667020f875d2d43fae37281269117bd  table --family stirling2mod --s 4 --n-max 40 --format csv
+86d0e7d07a2fab3a7b8e92fa84fcceb6667428763dc6b2e5437afd275d10155c  table --family stirling2mod --s 4 --n-max 40 --format json
+53c90cbd2e9a8b24baf191c4195c631340359d5381686778e5208b9c119f0818  table --family stirling1mod --s 2 --n-max 40 --format text
+4b240830db5256fa3eee94521ffee3930eb2ddacf9c9d7de7e0cbd4d6ea2089d  table --family stirling1mod --s 2 --n-max 40 --format csv
+0f0c84304a97c9ce7adc16303e4dd33ba63cf15c6df99d99d24ff35807143d0a  table --family stirling1mod --s 2 --n-max 40 --format json
+ac1405d63be4dc267756dd2140348493cd29e89c5b3b92d7fb8f4ee16c71fd9f  table --family stirling1mod --s 4 --n-max 40 --format text
+0f7f45b9df933dfc6746a6d601b573c4d763a63b1bda05e9153b3700e29de992  table --family stirling1mod --s 4 --n-max 40 --format csv
+f046a8306d02f9c0ae4a96ecac4cb81bb8b73175e9df2e11f2c668021ec80b7c  table --family stirling1mod --s 4 --n-max 40 --format json
+4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865  table --family stirling1mod --s 1 --n-max 0
+9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa  table --family stirling1mod --s 2 --n-max 0
 """.splitlines()]
 
 

@@ -258,7 +258,8 @@ def _bump_s1_column(walk):
 def _bump_s1_rows(rows):
     def patched(s):
         for n, row in enumerate(rows(s)):
-            yield {**row, 2: row[2] + 1} if (n, s) == (3, 1) else row  # [3,2]^(1)
+            # [3,2]^(1), at entry k + s - 1 of a row that starts at k = 1-s
+            yield row[:2] + [row[2] + 1] + row[3:] if (n, s) == (3, 1) else row
 
     return patched
 
@@ -273,16 +274,18 @@ def _bump_s2_column(walk):
     return patched
 
 
-def _bump_s2_table(cell, s_bumped):
-    # {cell}^(s_bumped) in every table that holds it
+def _bump_s2_rows(cell, s_bumped):
+    # {cell}^(s_bumped) in every integer use of the M^(s) rows that holds it:
+    # row j at the point (1..j) holds {j+d, j} at degree d
     i, j = cell
 
-    def bump(table):
-        def patched(n, k_hi, s, band=False):
-            rows = table(n, k_hi, s, band)
-            if s == s_bumped and n >= i and k_hi >= j:
-                rows[i][j] += 1
-            return rows
+    def bump(rows_at):
+        def patched(xs, one, depth, s, total=None):
+            d = i - j
+            for at, row in enumerate(rows_at(xs, one, depth, s, total)):
+                if isinstance(one, int) and (at, s) == (j, s_bumped) and len(row) > d:
+                    row = row[:d] + [row[d] + 1] + row[d + 1 :]
+                yield row
 
         return patched
 
@@ -345,6 +348,20 @@ def _bump_modular_row(rec):
     return patched
 
 
+def _bump_series(product):
+    # coefficient 2 of the polynomial series in x_1, x_2, and {5,2}^(1) in
+    # every integer column series of k = 2 that holds it
+    def patched(xs, s, bound, numerator=1):
+        out = product(xs, s, bound, numerator)
+        if len(xs) == 2 and isinstance(xs[0], Polynomial) and bound >= 2:
+            out[2] = out[2] + _X1X2
+        if list(xs) == [1, 2] and s == 1 and bound >= 3:
+            out[3] += 1
+        return out
+
+    return patched
+
+
 def _bump_composition(walk):
     # the walk of degree 2 into 2 parts, whatever its parts list
     def patched(num_vars, degree, parts):
@@ -376,10 +393,10 @@ def _bump_higher_rows(rows):
 
 _S1_CELL = _bump_point_sums(2, (0, 1), 0)  # [3,3]^(1), parts at most 1
 _S2_CELL = _bump_point_sums(2, (0, 1, 2, 3), 3)  # {5,2}^(1), all parts
-_S2_TABLE = _bump_s2_table((5, 2), 1)
+_S2_ROWS = _bump_s2_rows((5, 2), 1)
 # {3,2}^(2) has n-k <= s, where the recurrence's last term lies outside the
 # triangle
-_S2_BAND = _bump_s2_table((3, 2), 2)
+_S2_BAND = _bump_s2_rows((3, 2), 2)
 
 # one quick-grid count each: board 7 into 3 blocks; [5] into 3 blocks at
 # s = 1 only (d = 2 passes mod 2, not mod 3); [5] into 3 even-gap blocks
@@ -400,14 +417,15 @@ ROUTE_CORES = [
     ("S1MOD_PART", stirling, "_point_sums", _S1_CELL),
     ("S2MOD_SPEC", stirling, "_stirling2_mod_column", _bump_s2_column),
     ("S2MOD_SPEC", stirling, "_point_sums", _S2_CELL),
-    ("S2MOD_SPEC", stirling, "_stirling2_mod_table", _S2_TABLE),
-    ("S2MOD_SPEC", stirling, "_stirling2_mod_table", _S2_BAND),
+    ("S2MOD_SPEC", stirling, "_modular_rows", _S2_ROWS),
+    ("S2MOD_SPEC", stirling, "_modular_rows", _S2_BAND),
     ("S2MOD_REC", stirling, "_stirling2_mod_column", _bump_s2_column),
     ("S2MOD_REC", stirling, "_point_sums", _S2_CELL),
-    ("S2MOD_GF", stirling, "_stirling2_mod_table", _S2_TABLE),
-    ("PART_MOD", stirling, "_stirling2_mod_table", _S2_TABLE),
-    ("PS1", stirling, "_stirling2_mod_table", _S2_TABLE),
-    ("FERMAT", stirling, "_stirling2_mod_table", _S2_TABLE),
+    ("S2MOD_GF", stirling, "_modular_rows", _S2_ROWS),
+    ("S2MOD_GF", stirling, "_series_product", _bump_series),
+    ("PART_MOD", stirling, "_modular_rows", _S2_ROWS),
+    ("PS1", stirling, "_modular_rows", _S2_ROWS),
+    ("FERMAT", stirling, "_modular_rows", _S2_ROWS),
     ("S1MOD_PART", enumeration, "_count_partitions_by_diffs", _PART_BOUNDED),
     ("PART_MOD", enumeration, "_count_partitions_by_diffs", _PART_MOD),
     ("PART_ZERO", enumeration, "_count_partitions_by_diffs", _PART_ZERO),
@@ -415,6 +433,7 @@ ROUTE_CORES = [
     ("PART_MOD", enumeration, "_rgs_placements", _WALK_MOD),
     ("PART_ZERO", enumeration, "_rgs_placements", _WALK_ZERO),
     ("GF_M", symfun, "_modular_rec", _bump_modular_row),
+    ("GF_M", symfun, "_series_product", _bump_series),
     ("NESTED", enumeration, "_min_set_tally", _bump_tally),
     ("HIGHER_REC", enumeration, "_min_set_tally", _bump_tally),
     ("OMEGA", stirling, "_rows_stirling1_higher", _bump_higher_rows),

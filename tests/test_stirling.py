@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import count, islice
 from math import factorial
 
 import pytest
@@ -39,6 +39,47 @@ def brute_stirling1(n, k):
     if k == 0:
         return 0
     return brute_stirling1(n - 1, k - 1) + (n - 1) * brute_stirling1(n - 1, k)
+
+
+def _reference_s2mod_table(n, k_hi, s, band=False):
+    # The integer table before the M^(s) rows were shared: rows[i][j] =
+    # {i, j}^(s) for 0 <= j <= min(i, k_hi), filled bottom-up by
+    # {i,j} = {i-1,j-1} + j*{i-2,j-1} + j^{s+1}*{i-s-1,j}, a term outside the
+    # triangle read as 0.  With band only the cells with i-j <= n-k_hi are
+    # filled, and the cells left of that band hold 0.
+    rows = []
+    for i in range(n + 1):
+        lo = max(1, i - n + k_hi) if band else 1
+        row = [1 if i == 0 else 0] + [0] * (lo - 1)
+        for j in range(lo, min(i, k_hi) + 1):
+            row.append(
+                rows[i - 1][j - 1]
+                + (j * rows[i - 2][j - 1] if i > j else 0)
+                + (j ** (s + 1) * rows[i - s - 1][j] if i - j > s else 0)
+            )
+        rows.append(row)
+    return rows
+
+
+def _reference_s1mod_rows(s):
+    # The first-kind rows before they were polynomial products: the nonzero
+    # values {k: [n,k]^(s)}, each summed term by term from the order-s
+    # recurrence, from the seed [0, 1-s]^(s) = 1
+    lo = 1 - s
+    row = {lo: 1}
+    for i in count(1):
+        yield row
+        base = i - 1
+        new = {}
+        for kk in range(lo, (i - 1) * s + 2):
+            acc = 0
+            for l in range(s + 1):
+                prev = row.get(kk - (s - l))
+                if prev:
+                    acc += prev * base**l
+            if acc:
+                new[kk] = acc
+        row = new
 
 
 class TestClassical:
@@ -101,28 +142,45 @@ class TestStirling2Mod:
 
     def test_table_band_below_s_plus_one_is_elementary(self):
         # n-k <= s admits only parts 0 and 1, so {n,k}^(s) = e_{n-k}(1..k);
-        # the table fills this band by the recurrence alone
+        # the rows fill this band by the recurrence alone
         for s in range(1, 6):
-            rows = stirling._stirling2_mod_table(20, 20, s)
+            cols = list(stirling._modular_rows(range(1, 21), 1, 20, s, total=20))
             for n in range(21):
                 for k in range(max(0, n - s), n + 1):
                     point = tuple(range(1, k + 1))
-                    assert rows[n][k] == poly_eval_int(elem_sym(k, n - k), point)
+                    assert cols[k][n - k] == poly_eval_int(elem_sym(k, n - k), point)
 
-    def test_scalar_table_fills_only_its_band(self):
-        # {n,k} by recurrence reads the cells with i-j <= n-k: those match the
-        # full table, and the cells left of that band are never filled
+    def test_scalar_recurrence_builds_only_its_cells(self, monkeypatch):
+        # {n,k} by recurrence reads k+1 rows of n-k+1 cells each, no prefix
+        real = stirling._modular_rows
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(list(real(*args, **kwargs)))
+            return iter(built[-1])
+
+        monkeypatch.setattr(stirling, "_modular_rows", spy)
         for s in (1, 2, 3):
-            full = stirling._stirling2_mod_table(14, 14, s)
             for n in range(15):
                 for k in range(n + 1):
-                    rows = stirling._stirling2_mod_table(n, k, s, band=True)
-                    assert [len(row) for row in rows] == [
-                        min(i, k) + 1 for i in range(n + 1)
-                    ]
-                    for i, row in enumerate(rows):
-                        for j, cell in enumerate(row):
-                            assert cell == (full[i][j] if i - j <= n - k else 0)
+                    built.clear()
+                    value = stirling2_mod(n, k, s, "recurrence")
+                    (rows,) = built
+                    assert [len(row) for row in rows] == [n - k + 1] * (k + 1)
+                    assert value == rows[k][n - k]
+        for n, k in ((1100, 1099), (3000, 2999)):
+            built.clear()
+            stirling2_mod(n, k, 1, "recurrence")
+            assert sum(map(len, built[0])) == 2 * (k + 1)
+
+    def test_second_kind_matches_the_reference_table(self):
+        for s in range(1, 5):
+            full = _reference_s2mod_table(40, 40, s)
+            assert triangle_rows("stirling2mod", s, 40) == full
+            for n in range(41):
+                for k in range(n + 1):
+                    band = _reference_s2mod_table(n, k, s, band=True)
+                    assert stirling2_mod(n, k, s, "recurrence") == band[n][k]
 
     def test_deep_specialization_column(self):
         # depth 1 over 1099 variables: e_1(1..1099)
@@ -163,6 +221,25 @@ class TestStirling1Mod:
                 for k in range(1, (n - 1) * s + 2):
                     assert stirling1_mod(n, k, s) == stirling1_mod_rec(n, k, s)
 
+    def test_rows_match_the_reference_rows(self, monkeypatch):
+        rows = {
+            s: list(islice(stirling._rows_stirling1_mod(s), 41)) for s in range(1, 5)
+        }
+        # stirling1_mod_rec replays the rows built once, so that every k from
+        # below the seed to past the support is read from each; an index
+        # outside a row must never wrap around
+        monkeypatch.setattr(stirling, "_rows_stirling1_mod", lambda s: iter(rows[s]))
+        for s in range(1, 5):
+            refs = list(islice(_reference_s1mod_rows(s), 41))
+            for n, (row, ref) in enumerate(zip(rows[s], refs)):
+                assert len(row) == n * s + 1
+                for k in range(-s - 3, (n - 1) * s + 5):
+                    assert stirling1_mod_rec(n, k, s) == ref.get(k, 0), (n, k, s)
+            assert triangle_rows("stirling1mod", s, 40) == [
+                [ref.get(k, 0) for k in range(max(0, (n - 1) * s + 1) + 1)]
+                for n, ref in enumerate(refs)
+            ]
+
     def test_out_of_support_is_zero(self):
         assert stirling1_mod(3, 20, 2) == 0
         assert stirling1_mod_rec(3, 20, 2) == 0
@@ -187,13 +264,14 @@ class TestStirling1Mod:
 
 class TestColumnWalks:
     def test_first_kind_column_is_a_recurrence_row(self):
-        # entry idx of column n is [n, (n-1)s+1-idx]^(s)
+        # entry idx of column n is [n, (n-1)s+1-idx]^(s), and the rows start
+        # at k = 1-s
         for s in (1, 2, 3):
             for n, row in enumerate(islice(stirling._rows_stirling1_mod(s), 9)):
                 if n:
                     top = (n - 1) * s + 1
                     assert stirling._stirling1_mod_column(n, s) == [
-                        row.get(top - idx, 0) for idx in range(top)
+                        row[top - idx + s - 1] for idx in range(top)
                     ], (n, s)
 
     def test_first_kind_single_degree_walk(self):
@@ -222,13 +300,14 @@ class TestColumnWalks:
             ]
 
     def test_second_kind_column_is_a_table_column(self):
+        # column k to depth d is the last of the M^(s) rows at (1..k)
         for s in (1, 2, 3):
             for k in range(13):
                 for depth in range(13 - k):
-                    rows = stirling._stirling2_mod_table(k + depth, k, s)
-                    assert stirling._stirling2_mod_column(k, s, depth) == [
-                        rows[k + d][k] for d in range(depth + 1)
-                    ], (k, s, depth)
+                    *_, row = stirling._modular_rows(range(1, k + 1), 1, depth, s)
+                    assert stirling._stirling2_mod_column(k, s, depth) == row, (
+                        k, s, depth,
+                    )
 
     def test_second_kind_column_edges(self):
         for s in (1, 2, 3):

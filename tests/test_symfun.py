@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modsym.polycore import Polynomial, poly_eval_int
+from modsym import symfun
+from modsym.polycore import Polynomial, TruncatedSeries, poly_eval_int
 from modsym.stirling import stirling1, stirling2
 from modsym.symfun import (
     MODULAR_METHODS,
@@ -189,6 +190,39 @@ class TestModularSeries:
         series = modular_series(0, 2, 4)
         assert series.coefficient(0) == Polynomial.one()
         assert all(series.coefficient(k).is_zero for k in range(1, 5))
+
+
+class TestSharedRules:
+    # the M^(s) rows and the product series take their ring from the values:
+    # at the ints 1..k they are the polynomial rules evaluated at (1..k)
+    def test_rows_at_integers_are_evaluated_polynomial_rows(self):
+        for s in (1, 2, 3):
+            for k in range(5):
+                point = tuple(range(1, k + 1))
+                variables = [Polynomial.variable(i) for i in point]
+                rows = symfun._modular_rows(variables, Polynomial.one(), 7, s)
+                assert [[p.evaluate(point) for p in row] for row in rows] == list(
+                    symfun._modular_rows(point, 1, 7, s)
+                )
+
+    def test_triangle_rows_stop_at_the_total_degree(self):
+        rows = list(symfun._modular_rows(range(1, 6), 1, 5, 2, total=5))
+        assert [len(row) for row in rows] == [6, 5, 4, 3, 2, 1]
+        full = list(symfun._modular_rows(range(1, 6), 1, 5, 2))
+        assert all(row == full[j][: len(row)] for j, row in enumerate(rows))
+
+    def test_series_at_integers_is_the_evaluated_series(self):
+        for s in (1, 2, 3):
+            for k in range(5):
+                point = tuple(range(1, k + 1))
+                variables = [Polynomial.variable(i) for i in point]
+                for numerator in (1, s):
+                    series = TruncatedSeries(
+                        symfun._series_product(variables, s, 9, numerator)
+                    )
+                    assert [c.evaluate(point) for c in series.coeffs] == (
+                        symfun._series_product(point, s, 9, numerator)
+                    )
 
 
 class TestAllOnes:
