@@ -46,10 +46,6 @@ from modsym.polycore import (
     Polynomial,
     TruncatedSeries,
     make_monomial,
-    poly_add,
-    poly_eval_int,
-    poly_mul,
-    poly_substitute_power,
     series_mul,
 )
 from modsym.stirling import (

@@ -22,7 +22,6 @@ import sys
 from contextlib import contextmanager
 
 from modsym import enumeration, identities, stirling, symfun
-from modsym.polycore import poly_eval_int
 
 _EVAL_FUNCTIONS = ("M", "E", "e", "h", "Ml")
 _ENUM_FAMILIES = (
@@ -192,7 +191,7 @@ def _cmd_eval(args, parser) -> int:
             else:
                 _json_dump({**params, "polynomial": poly.to_json_obj()}, fh)
         else:
-            value = poly_eval_int(poly, point)
+            value = poly.evaluate(point)
             if args.format == "text":
                 fh.write(str(value) + "\n")
             else:

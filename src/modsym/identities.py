@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 from math import gcd
 
 from modsym import stirling, symfun
@@ -46,13 +47,12 @@ from modsym.enumeration import (
     gen_lattice_paths,
     gen_tilings,
 )
-from modsym.polycore import Polynomial, poly_eval_int
+from modsym.polycore import Polynomial
 from modsym.stirling import (
     omega_poly,
     stirling1,
     stirling1_higher,
     stirling1_mod,
-    stirling1_mod_rec,
     stirling2,
     stirling2_mod,
     stirling2_mod_series,
@@ -206,10 +206,14 @@ class _Ctx:
 
 
 def h_at_powered_points(n: int, j: int, s: int) -> int:
-    """h_j evaluated at (1^{s+1}, 2^{s+1}, ..., n^{s+1}); zero for negative j."""
+    """h_j evaluated at (1^{s+1}, 2^{s+1}, ..., n^{s+1}); zero for negative j.
+
+    It is coefficient j of the product series at the powered points taken
+    at s = 1, where each factor 1/(1 - x t) sums the powers of x."""
     if j < 0:
         return 0
-    return poly_eval_int(comp_sym(n, j), tuple(i ** (s + 1) for i in range(1, n + 1)))
+    powered = [i ** (s + 1) for i in range(1, n + 1)]
+    return symfun._series_product(powered, 1, j)[j]
 
 
 def ps1_rhs(n: int, k: int, s: int, *, _shift: int = 0) -> int:
@@ -298,9 +302,10 @@ def _check_gf_m(ctx: _Ctx, p: dict, r: Ranges):
 
 def _check_rec3(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
+    x_n = Polynomial.variable(n)
     rhs = Polynomial.zero()
     for j in _residue_parts(k, s, 1):
-        rhs = rhs + ctx(modular_sym, n - 1, k - j, s).mul_power(n, j)
+        rhs = rhs + ctx(modular_sym, n - 1, k - j, s) * x_n**j
     lhs = ctx(modular_sym, n, k, s)
     return lhs, rhs
 
@@ -309,9 +314,10 @@ def _check_rec4(ctx: _Ctx, p: dict, r: Ranges, cross: int = 1):
     n, k, s = p["n"], p["k"], p["s"]
     if k < s + 1:
         raise _Skip("requires k >= s+1")
+    x_n = Polynomial.variable(n)
     rhs = (
-        ctx(modular_sym, n, k - s - 1, s).mul_power(n, s + 1)
-        + cross * ctx(modular_sym, n - 1, k - 1, s).mul_power(n, 1)
+        ctx(modular_sym, n, k - s - 1, s) * x_n ** (s + 1)
+        + cross * ctx(modular_sym, n - 1, k - 1, s) * x_n
         + ctx(modular_sym, n - 1, k, s)
     )
     lhs = ctx(modular_sym, n, k, s)
@@ -334,7 +340,7 @@ def _check_weight_sum(gen: Callable, ctx: _Ctx, p: dict):
 def _check_allones(ctx: _Ctx, p: dict, r: Ranges, shift: int = 0):
     n, k, s = p["n"], p["k"], p["s"]
     lhs = modular_all_ones(n, k, s, _shift=shift)
-    rhs = poly_eval_int(ctx(modular_sym, n, k, s), (1,) * n)
+    rhs = ctx(modular_sym, n, k, s).evaluate((1,) * n)
     return lhs, rhs
 
 
@@ -440,7 +446,7 @@ def _check_lmod(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s, ell = p["n"], p["k"], p["s"], p["ell"]
     if gcd(ell, s + 1) != 1:
         raise _Skip("requires gcd(ell, s+1) = 1")
-    lhs = poly_eval_int(lmodular_sym(n, k, s, ell), tuple(range(1, n + 1)))
+    lhs = lmodular_sym(n, k, s, ell).evaluate(tuple(range(1, n + 1)))
     rhs = lmod_rhs(n, k, s, ell)
     return lhs, rhs
 
@@ -538,9 +544,7 @@ def _check_s1mod_def(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
     direct = stirling1_mod(n + 1, k + 1, s)
     scaled = _scaled_reciprocal_eval(ctx(bounded_elem_sym, n, k, s), n, s)
-    mirrored = poly_eval_int(
-        ctx(bounded_elem_sym, n, n * s - k, s), tuple(range(1, n + 1))
-    )
+    mirrored = ctx(bounded_elem_sym, n, n * s - k, s).evaluate(tuple(range(1, n + 1)))
     # a str rhs never equals the int lhs, so a disagreement fails the cell
     rhs = scaled if scaled == mirrored else f"scaled:{scaled} mirrored:{mirrored}"
     return direct, rhs
@@ -557,9 +561,22 @@ def _grid_s1mod_rec(r: Ranges, nested: bool = False) -> Iterator[dict]:
                 yield {"n": n, "k": k, "s": s}
 
 
+def _s1_rows(s: int, n_max: int) -> list[list[int]]:
+    # rows 0..n_max of the order-s recurrence, each starting at k = 1-s
+    return list(islice(stirling._rows_stirling1_mod(s), n_max + 1))
+
+
+def _s1rec_or_zero(ctx: _Ctx, r: Ranges, n: int, k: int, s: int) -> int:
+    # [n,k]^(s) as stirling1_mod_rec reads it, 0 outside the row, from one
+    # walk of the rows of s down to the grid's last row
+    row = ctx(_s1_rows, s, max(n, r.n_max))[n]
+    idx = k + s - 1
+    return row[idx] if 0 <= idx < len(row) else 0
+
+
 def _check_s1mod_rec(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
-    lhs = stirling1_mod_rec(n, k, s)
+    lhs = _s1rec_or_zero(ctx, r, n, k, s)
     idx = (n - 1) * s - (k - 1)
     rhs = ctx(stirling._stirling1_mod_column, n, s)[idx] if idx >= 0 else 0
     return lhs, rhs
@@ -583,7 +600,7 @@ def _check_s1mod_part(ctx: _Ctx, p: dict, r: Ranges):
 def _check_nested(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
     lhs = count_nested_minset_tuples(n, k, s)
-    rhs = stirling1_mod_rec(n, k, s)
+    rhs = _s1rec_or_zero(ctx, r, n, k, s)
     return lhs, rhs
 
 

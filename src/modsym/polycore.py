@@ -10,6 +10,13 @@ structural equality of two polynomials is mathematical equality.
 Coefficients are plain Python ints throughout.  Everything this library
 computes is an exact integer identity, so floating point never appears.
 
+``*`` is the one polynomial product.  When either operand is a single term
+that is a constant c or a power c*x_i^a of one variable, the product scales
+the other operand's coefficients by c and shifts exponent i of each of its
+terms by a.  That shift is injective, so no two terms merge or cancel and
+the result stays canonical.  Any other pair of operands, a single term over
+two or more variables included, runs the general term-by-term loop.
+
 Serialized term order is graded lexicographic, largest degree first and
 lexicographically larger exponent vector first within a degree.  All printed
 and JSON output follows this order, which keeps golden-file tests stable.
@@ -157,7 +164,23 @@ class Polynomial:
             return NotImplemented
         if not self._terms or not other._terms:
             return Polynomial.zero()
-        acc: dict[Monomial, int] = {}
+        for one, many in ((self, other), (other, self)):
+            if len(one._terms) == 1:
+                ((mono, c),) = one._terms.items()
+                if not mono:
+                    return many * c
+                pos = len(mono) - 1
+                if mono.count(0) == pos:
+                    # c*x_{pos+1}^a: shift that exponent in every term
+                    a = mono[pos]
+                    acc: dict[Monomial, int] = {}
+                    for e, cb in many._terms.items():
+                        if len(e) > pos:
+                            acc[e[:pos] + (e[pos] + a,) + e[pos + 1 :]] = cb * c
+                        else:
+                            acc[e + (0,) * (pos - len(e)) + (a,)] = cb * c
+                    return Polynomial._raw(acc)
+        acc = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
                 # the longer tail is already trimmed, so the sum stays canonical
@@ -178,24 +201,6 @@ class Polynomial:
         for _ in range(n):
             result = result * self
         return result
-
-    def mul_power(self, index: int, power: int) -> "Polynomial":
-        """Multiply by x_index**power (1-based variable position)."""
-        if index < 1:
-            raise ValueError(f"variable index must be >= 1, got {index}")
-        if power < 0:
-            raise ValueError(f"negative power {power}")
-        if power == 0 or not self._terms:
-            return self
-        pos = index - 1
-        acc: dict[Monomial, int] = {}
-        for e, c in self._terms.items():
-            if len(e) > pos:
-                mono = e[:pos] + (e[pos] + power,) + e[pos + 1 :]
-            else:
-                mono = e + (0,) * (pos - len(e)) + (power,)
-            acc[mono] = c
-        return Polynomial._raw(acc)
 
     def evaluate(self, point: Sequence[int]) -> int:
         """Exact value at an integer point (entry ``i`` is the value of ``x_{i+1}``).
@@ -266,26 +271,6 @@ class Polynomial:
             {"coeff": str(coeff), "exps": list(exps)}
             for exps, coeff in self.sorted_terms()
         ]
-
-
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Coefficient-wise sum in canonical form."""
-    return a + b
-
-
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Distributive product; exponent vectors add component-wise."""
-    return a * b
-
-
-def poly_eval_int(p: Polynomial, point: Sequence[int]) -> int:
-    """Exact integer value of ``p`` at ``point`` (one value per variable position)."""
-    return p.evaluate(point)
-
-
-def poly_substitute_power(p: Polynomial, m: int) -> Polynomial:
-    """Every exponent multiplied by ``m`` (the substitution x_i -> x_i**m)."""
-    return p.substitute_power(m)
 
 
 class TruncatedSeries:

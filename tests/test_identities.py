@@ -167,6 +167,20 @@ class TestVerify:
         assert len(calls) == len(set(calls))
         assert set(calls) == {(k, s, 8 - k) for k in range(9) for s in (1, 2)}
 
+    def test_verify_all_walks_first_kind_rows_once_per_grid(self, monkeypatch):
+        # S1MOD_REC and NESTED read [n,k]^(s) from one walk of the rows of s
+        # each, through the sweep's memo
+        calls = []
+        rows = stirling._rows_stirling1_mod
+
+        def counted(s):
+            calls.append(s)
+            return rows(s)
+
+        monkeypatch.setattr(stirling, "_rows_stirling1_mod", counted)
+        verify_all("quick")
+        assert sorted(calls) == [1, 1, 2, 2]
+
 
 class TestErrata:
     def test_errata_present_exactly_on_documented_ids(self):
@@ -349,14 +363,17 @@ def _bump_modular_row(rec):
 
 
 def _bump_series(product):
-    # coefficient 2 of the polynomial series in x_1, x_2, and {5,2}^(1) in
-    # every integer column series of k = 2 that holds it
+    # coefficient 2 of the polynomial series in x_1, x_2, {5,2}^(1) in every
+    # integer column series of k = 2 that holds it, and h_1 at the squared
+    # points (1, 4)
     def patched(xs, s, bound, numerator=1):
         out = product(xs, s, bound, numerator)
         if len(xs) == 2 and isinstance(xs[0], Polynomial) and bound >= 2:
             out[2] = out[2] + _X1X2
         if list(xs) == [1, 2] and s == 1 and bound >= 3:
             out[3] += 1
+        if list(xs) == [1, 4] and s == 1 and bound >= 1:
+            out[1] += 1
         return out
 
     return patched
@@ -435,6 +452,10 @@ ROUTE_CORES = [
     ("GF_M", symfun, "_modular_rec", _bump_modular_row),
     ("GF_M", symfun, "_series_product", _bump_series),
     ("NESTED", enumeration, "_min_set_tally", _bump_tally),
+    ("NESTED", stirling, "_rows_stirling1_mod", _bump_s1_rows),
+    ("PS1", symfun, "_series_product", _bump_series),
+    ("LMOD", symfun, "_series_product", _bump_series),
+    ("PART_ZERO", symfun, "_series_product", _bump_series),
     ("HIGHER_REC", enumeration, "_min_set_tally", _bump_tally),
     ("OMEGA", stirling, "_rows_stirling1_higher", _bump_higher_rows),
     *(
@@ -467,6 +488,17 @@ class TestRhsHelpers:
         assert h_at_powered_points(3, 0, 4) == 1
         assert h_at_powered_points(3, -1, 2) == 0
 
+    def test_h_at_powered_points_matches_evaluated_h(self):
+        from modsym.symfun import comp_sym
+
+        for n in range(6):
+            for j in range(8):
+                for s in range(1, 5):
+                    powered = tuple(i ** (s + 1) for i in range(1, n + 1))
+                    assert h_at_powered_points(n, j, s) == comp_sym(n, j).evaluate(
+                        powered
+                    )
+
     def test_fermat_congruence_examples(self):
         from modsym.stirling import stirling2_mod
 
@@ -481,7 +513,6 @@ class TestRhsHelpers:
             lmod_rhs(3, 2, 3, 2)
 
     def test_lmod_rhs_matches_direct_eval(self):
-        from modsym.polycore import poly_eval_int
         from modsym.symfun import lmodular_sym
 
         for n in range(4):
@@ -492,8 +523,8 @@ class TestRhsHelpers:
 
                         if gcd(ell, s + 1) != 1:
                             continue
-                        direct = poly_eval_int(
-                            lmodular_sym(n, k, s, ell), tuple(range(1, n + 1))
+                        direct = lmodular_sym(n, k, s, ell).evaluate(
+                            tuple(range(1, n + 1))
                         )
                         assert direct == lmod_rhs(n, k, s, ell)
 

@@ -1,3 +1,5 @@
+from operator import add
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,10 +8,6 @@ from modsym.polycore import (
     Polynomial,
     TruncatedSeries,
     make_monomial,
-    poly_add,
-    poly_eval_int,
-    poly_mul,
-    poly_substitute_power,
     series_mul,
 )
 from modsym.symfun import modular_sym
@@ -31,6 +29,57 @@ polys = st.dictionaries(
 
 points = st.lists(st.integers(-5, 5), min_size=3, max_size=3).map(tuple)
 
+nonzero = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9).filter(bool))
+
+
+def _power_term(c, i, a):
+    # c*x_i^a; the constant c when a = 0
+    return Polynomial.monomial((0,) * (i - 1) + (a,), c)
+
+
+# single terms: constants, powers of one variable past the width of
+# ``polys``, and terms over two or more variables
+one_terms = st.one_of(
+    nonzero.map(Polynomial.constant),
+    st.builds(_power_term, nonzero, st.integers(4, 6), st.integers(1, 4)),
+    st.builds(
+        Polynomial.monomial,
+        st.lists(st.integers(0, 3), min_size=2, max_size=4).filter(
+            lambda e: sum(map(bool, e)) >= 2
+        ),
+        nonzero,
+    ),
+)
+
+
+def _mul_general_ref(a, b):
+    # reference: every pair of terms, summed into one dict of trimmed keys
+    acc = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            mono = tuple(map(add, ea, eb)) + ea[len(eb):] + eb[len(ea):]
+            s = acc.get(mono, 0) + ca * cb
+            if s:
+                acc[mono] = s
+            elif mono in acc:
+                del acc[mono]
+    return acc
+
+
+def _mul_power_ref(p, index, power):
+    # reference: p times x_index**power, one exponent shifted in every term
+    if power == 0:
+        return dict(p.terms)
+    pos = index - 1
+    acc = {}
+    for e, c in p.terms.items():
+        if len(e) > pos:
+            mono = e[:pos] + (e[pos] + power,) + e[pos + 1 :]
+        else:
+            mono = e + (0,) * (pos - len(e)) + (power,)
+        acc[mono] = c
+    return acc
+
 
 class TestMonomial:
     def test_trims_trailing_zeros(self):
@@ -50,12 +99,12 @@ class TestPolynomial:
 
     def test_add_merges_into_modular_value(self):
         # x1^3 + x2^3 plus x1*x2*x3 is M_3^(2)(3) with the x3^3 term removed
-        merged = poly_add(cube(X1) + cube(X2), X1 * X2 * X3)
+        merged = (cube(X1) + cube(X2)) + X1 * X2 * X3
         assert merged == modular_sym(3, 3, 2) - cube(X3)
 
     def test_zero_is_additive_identity(self):
         p = 3 * X1 * X2 - cube(X2)
-        assert poly_add(Polynomial.zero(), p) == p
+        assert Polynomial.zero() + p == p
 
     def test_mul_binomials(self):
         assert (1 + X1) * (1 + X2) == 1 + X1 + X2 + X1 * X2
@@ -65,28 +114,28 @@ class TestPolynomial:
 
     def test_mul_by_zero_absorbs(self):
         p = 7 * X1 * X3 + X2
-        assert poly_mul(p, Polynomial.zero()).is_zero
+        assert (p * Polynomial.zero()).is_zero
 
     def test_eval_powers(self):
-        assert poly_eval_int(cube(X1) + cube(X2), (1, 2)) == 9
+        assert (cube(X1) + cube(X2)).evaluate((1, 2)) == 9
 
     def test_eval_constant(self):
-        assert poly_eval_int(Polynomial.one(), (5, -3)) == 1
-        assert poly_eval_int(Polynomial.one(), ()) == 1
+        assert Polynomial.one().evaluate((5, -3)) == 1
+        assert Polynomial.one().evaluate(()) == 1
 
     def test_eval_modular_value(self):
-        assert poly_eval_int(modular_sym(3, 3, 2), (1, 2, 3)) == 42
+        assert modular_sym(3, 3, 2).evaluate((1, 2, 3)) == 42
 
     def test_eval_requires_full_point(self):
         with pytest.raises(ValueError):
-            poly_eval_int(X3, (1, 2))
+            X3.evaluate((1, 2))
 
     def test_substitute_power(self):
-        assert poly_substitute_power(X1 + X2, 2) == X1 * X1 + X2 * X2
+        assert (X1 + X2).substitute_power(2) == X1 * X1 + X2 * X2
         e2 = X1 * X2
-        assert poly_substitute_power(e2, 4) == Polynomial.monomial((4, 4))
+        assert e2.substitute_power(4) == Polynomial.monomial((4, 4))
         with pytest.raises(ValueError):
-            poly_substitute_power(X1, 0)
+            X1.substitute_power(0)
 
     def test_text_form(self):
         assert str(Polynomial.zero()) == "0"
@@ -126,6 +175,21 @@ def test_add_and_mul_commute(a, b):
     assert a * b == b * a
 
 
+@given(a=polys, b=st.one_of(polys, one_terms))
+def test_mul_matches_general_reference(a, b):
+    expected = _mul_general_ref(a, b)
+    assert dict((a * b).terms) == expected
+    assert dict((b * a).terms) == expected
+
+
+@given(p=polys, c=nonzero, i=st.integers(1, 6), a=st.integers(0, 4))
+def test_mul_by_one_variable_power_shifts_exponents(p, c, i, a):
+    expected = {e: v * c for e, v in _mul_power_ref(p, i, a).items()}
+    term = _power_term(c, i, a)
+    assert dict((p * term).terms) == expected
+    assert dict((term * p).terms) == expected
+
+
 @given(a=polys, b=polys, c=polys)
 def test_add_mul_associate(a, b, c):
     assert (a + b) + c == a + (b + c)
@@ -139,14 +203,14 @@ def test_mul_distributes(a, b, c):
 
 @given(a=polys, b=polys, v=points)
 def test_eval_is_ring_hom(a, b, v):
-    assert poly_eval_int(a + b, v) == poly_eval_int(a, v) + poly_eval_int(b, v)
-    assert poly_eval_int(a * b, v) == poly_eval_int(a, v) * poly_eval_int(b, v)
+    assert (a + b).evaluate(v) == a.evaluate(v) + b.evaluate(v)
+    assert (a * b).evaluate(v) == a.evaluate(v) * b.evaluate(v)
 
 
 @given(p=polys, v=points, m=st.integers(1, 4))
 def test_substitute_power_matches_powered_point(p, v, m):
     powered = tuple(x**m for x in v)
-    assert poly_eval_int(poly_substitute_power(p, m), v) == poly_eval_int(p, powered)
+    assert p.substitute_power(m).evaluate(v) == p.evaluate(powered)
 
 
 class TestTruncatedSeries:

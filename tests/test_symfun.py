@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modsym import symfun
-from modsym.polycore import Polynomial, TruncatedSeries, poly_eval_int
+from modsym.polycore import Polynomial, TruncatedSeries
 from modsym.stirling import stirling1, stirling2
 from modsym.symfun import (
     MODULAR_METHODS,
@@ -48,7 +48,7 @@ class TestElemComp:
         assert elem_sym(0, 1).is_zero
 
     def test_e_specialization_is_first_kind(self):
-        assert poly_eval_int(elem_sym(3, 2), (1, 2, 3)) == 11 == stirling1(4, 2)
+        assert elem_sym(3, 2).evaluate((1, 2, 3)) == 11 == stirling1(4, 2)
 
     def test_h2_two_vars(self):
         assert comp_sym(2, 2) == X1 * X1 + X1 * X2 + X2 * X2
@@ -59,18 +59,16 @@ class TestElemComp:
         assert comp_sym(0, 2).is_zero
 
     def test_h_specialization_is_second_kind(self):
-        assert poly_eval_int(comp_sym(3, 2), (1, 2, 3)) == 25 == stirling2(5, 3)
+        assert comp_sym(3, 2).evaluate((1, 2, 3)) == 25 == stirling2(5, 3)
 
     def test_classical_specializations_sweep(self):
         # h_k(1..n) = {n+k, n};  e_k(1..n) = [n+1, n+1-k]
         for n in range(9):
             pt = tuple(range(1, n + 1))
             for k in range(9):
-                assert poly_eval_int(comp_sym(n, k), pt) == stirling2(n + k, n)
+                assert comp_sym(n, k).evaluate(pt) == stirling2(n + k, n)
                 if k <= n + 1:
-                    assert poly_eval_int(elem_sym(n, k), pt) == stirling1(
-                        n + 1, n + 1 - k
-                    )
+                    assert elem_sym(n, k).evaluate(pt) == stirling1(n + 1, n + 1 - k)
 
 
 class TestModularSym:
@@ -159,7 +157,7 @@ class TestBoundedElem:
 
     def test_reference_values(self):
         assert bounded_elem_sym(2, 2, 2) == X1 * X1 + X1 * X2 + X2 * X2
-        assert poly_eval_int(bounded_elem_sym(2, 3, 3), (1, 2)) == 15
+        assert bounded_elem_sym(2, 3, 3).evaluate((1, 2)) == 15
 
     def test_matches_brute_force(self):
         for n in range(4):
@@ -238,8 +236,8 @@ class TestAllOnes:
         for n in range(1, 6):
             for k in range(9):
                 for s in (1, 2, 3):
-                    assert modular_all_ones(n, k, s) == poly_eval_int(
-                        modular_sym(n, k, s), (1,) * n
+                    assert modular_all_ones(n, k, s) == modular_sym(n, k, s).evaluate(
+                        (1,) * n
                     )
 
 
@@ -266,4 +264,4 @@ def test_symmetry_under_variable_permutation(n, k, s, data):
     point = tuple(data.draw(st.integers(-4, 4)) for _ in range(n))
     perm = data.draw(st.permutations(point))
     for poly in (modular_sym(n, k, s), bounded_elem_sym(n, k, s)):
-        assert poly_eval_int(poly, point) == poly_eval_int(poly, tuple(perm))
+        assert poly.evaluate(point) == poly.evaluate(tuple(perm))
