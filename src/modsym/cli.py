@@ -6,9 +6,11 @@ stay self-documenting in scripts.  Output goes to stdout or ``--output``;
 identical invocations produce byte-identical output.  ``main`` builds its
 parser once per process, on the first call, and reuses it for later calls.
 
-Exit status: 0 success, 1 verification failures present, 2 usage error,
-141 stdout closed by its reader before all output was written (128 + SIGPIPE,
-as for a program killed by that signal; nothing is printed to stderr).
+Exit status: 0 success, 1 verification failures present, 2 usage error (a
+bad flag, or a library refusal: ``main`` alone turns the library's
+``ValueError`` into exit 2 with its message), 141 stdout closed by its
+reader before all output was written (128 + SIGPIPE, as for a program killed
+by that signal; nothing is printed to stderr).
 """
 
 from __future__ import annotations
@@ -170,21 +172,18 @@ def _cmd_eval(args, parser) -> int:
     if args.function == "Ml":
         params["ell"] = args.ell
     with _destination(args.output, parser) as fh:
-        try:
-            if args.function == "M":
-                poly = symfun.modular_sym(n, args.k, args.s)
-            elif args.function == "E":
-                poly = symfun.bounded_elem_sym(n, args.k, args.s)
-            elif args.function == "e":
-                poly = symfun.elem_sym(n, args.k)
-            elif args.function == "h":
-                poly = symfun.comp_sym(n, args.k)
-            else:
-                if args.ell is None:
-                    parser.error("--ell is required for --function Ml")
-                poly = symfun.lmodular_sym(n, args.k, args.s, args.ell)
-        except ValueError as exc:
-            parser.error(str(exc))
+        if args.function == "M":
+            poly = symfun.modular_sym(n, args.k, args.s)
+        elif args.function == "E":
+            poly = symfun.bounded_elem_sym(n, args.k, args.s)
+        elif args.function == "e":
+            poly = symfun.elem_sym(n, args.k)
+        elif args.function == "h":
+            poly = symfun.comp_sym(n, args.k)
+        else:
+            if args.ell is None:
+                parser.error("--ell is required for --function Ml")
+            poly = symfun.lmodular_sym(n, args.k, args.s, args.ell)
         if point is None:
             if args.format == "text":
                 fh.write(str(poly) + "\n")
@@ -252,10 +251,7 @@ def _enum_stream(args, parser):
 
 
 def _cmd_enumerate(args, parser) -> int:
-    try:
-        gen, as_text, as_json = _enum_stream(args, parser)
-    except ValueError as exc:
-        parser.error(str(exc))
+    gen, as_text, as_json = _enum_stream(args, parser)
     params = {
         key: getattr(args, key)
         for key in ("n", "k", "s", "board", "blocks")
@@ -263,25 +259,22 @@ def _cmd_enumerate(args, parser) -> int:
     }
     count = 0
     with _destination(args.output, parser) as fh:
-        try:
-            if args.format == "text":
-                for obj in gen:
-                    fh.write(as_text(obj) + "\n")
-                    count += 1
-                fh.write(f"count: {count}\n")
-            else:
-                fh.write(
-                    f'{{"family": {json.dumps(args.family)}, '
-                    f'"params": {json.dumps(params)}, "objects": ['
-                )
-                for obj in gen:
-                    if count:
-                        fh.write(", ")
-                    fh.write(json.dumps(as_json(obj)))
-                    count += 1
-                fh.write(f'], "count": {count}}}\n')
-        except ValueError as exc:
-            parser.error(str(exc))
+        if args.format == "text":
+            for obj in gen:
+                fh.write(as_text(obj) + "\n")
+                count += 1
+            fh.write(f"count: {count}\n")
+        else:
+            fh.write(
+                f'{{"family": {json.dumps(args.family)}, '
+                f'"params": {json.dumps(params)}, "objects": ['
+            )
+            for obj in gen:
+                if count:
+                    fh.write(", ")
+                fh.write(json.dumps(as_json(obj)))
+                count += 1
+            fh.write(f'], "count": {count}}}\n')
     return 0
 
 
@@ -313,15 +306,12 @@ def _cmd_verify(args, parser) -> int:
             reports = identities.mutation_selftest()
             _json_dump([r.to_json_obj() for r in reports], fh)
             return 0 if all(r.failed for r in reports) else 1
-        try:
-            if args.id.lower() == "all":
-                reports = identities.verify_all(args.profile, ranges)
-                payload: object = [r.to_json_obj() for r in reports]
-            else:
-                reports = [identities.verify(args.id, ranges, args.profile)]
-                payload = reports[0].to_json_obj()
-        except ValueError as exc:
-            parser.error(str(exc))
+        if args.id.lower() == "all":
+            reports = identities.verify_all(args.profile, ranges)
+            payload: object = [r.to_json_obj() for r in reports]
+        else:
+            reports = [identities.verify(args.id, ranges, args.profile)]
+            payload = reports[0].to_json_obj()
         _json_dump(payload, fh)
     return 1 if any(r.failed for r in reports) else 0
 
@@ -337,6 +327,8 @@ def main(argv=None) -> int:
         if args.command == "enumerate":
             return _cmd_enumerate(args, parser)
         return _cmd_verify(args, parser)
+    except ValueError as exc:
+        parser.error(str(exc))
     except BrokenPipeError:
         # The reader closed stdout early, as `| head` does.  Pointing the
         # descriptor at the null device keeps the interpreter's final flush

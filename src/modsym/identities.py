@@ -11,7 +11,10 @@ Each cell checker returns the two sides of its identity (integers or
 canonical polynomials); the cell runner alone compares them, by exact
 equality with no tolerances, and serializes them.  Cells whose preconditions
 fail (even s for the odd-s vanishing identity, gcd(ell, s+1) > 1 for the
-residue-ell expansion, and so on) are counted as skipped, never as failures.
+residue-ell expansion, and off the grids n < 1 for S1MOD_REC and k < 1 for
+EVANISH) are counted as skipped, never as failures.  An index that may fall
+outside a memoised row, column or series is read through ``_entry``: entry
+i, or 0 outside it, from a sequence grown to depth max(i, grid bound).
 
 ``mutation_selftest`` reruns five catalog checkers, each with one keyword
 hook (a constant whose default is the true value) changed; each must fail
@@ -34,7 +37,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import islice
 from math import gcd
 
 from modsym import stirling, symfun
@@ -84,14 +86,7 @@ class Ranges:
     board_max: int | None = None
 
     def merged_over(self, base: "Ranges") -> "Ranges":
-        return Ranges(
-            n_max=self.n_max if self.n_max is not None else base.n_max,
-            k_max=self.k_max if self.k_max is not None else base.k_max,
-            s_max=self.s_max if self.s_max is not None else base.s_max,
-            p_list=self.p_list if self.p_list is not None else base.p_list,
-            ell=self.ell if self.ell is not None else base.ell,
-            board_max=self.board_max if self.board_max is not None else base.board_max,
-        )
+        return replace(base, **{k: v for k, v in vars(self).items() if v is not None})
 
     def describe(self, parameters: tuple[str, ...]) -> dict:
         out: dict = {}
@@ -292,11 +287,18 @@ class _Skip(Exception):
         self.reason = reason
 
 
+def _entry(seq, i: int):
+    # a negative i must read 0, not wrap to the far end
+    return seq[i] if 0 <= i < len(seq) else 0
+
+
 def _check_gf_m(ctx: _Ctx, p: dict, r: Ranges):
     # the series against the recurrence route, which no other identity reads;
     # one row per (n, s) holds every k of the column
-    lhs = ctx(modular_series, p["n"], p["s"], r.k_max).coefficient(p["k"])
-    rhs = ctx(symfun._modular_rec, p["n"], r.k_max, p["s"])[p["k"]]
+    n, k, s = p["n"], p["k"], p["s"]
+    depth = max(k, r.k_max)
+    lhs = _entry(ctx(modular_series, n, s, depth).coeffs, k)
+    rhs = _entry(ctx(symfun._modular_rec, n, depth, s), k)
     return lhs, rhs
 
 
@@ -381,7 +383,9 @@ def _grid_s2mod_gf(r: Ranges) -> Iterator[dict]:
 
 def _check_s2mod_gf(ctx: _Ctx, p: dict, r: Ranges, linear: bool = True):
     k, s, m = p["k"], p["s"], p["m"]
-    lhs = ctx(stirling2_mod_series, k, s, r.n_max, _numerator=1 if linear else s)[m]
+    numerator = 1 if linear else s
+    series = ctx(stirling2_mod_series, k, s, max(m, r.n_max), _numerator=numerator)
+    lhs = _entry(series, m)
     rhs = stirling2_mod(k + m, k, s, "recurrence")
     return lhs, rhs
 
@@ -462,6 +466,8 @@ def _check_evanish(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
     if s % 2 == 0:
         raise _Skip("requires odd s")
+    if k < 1:
+        raise _Skip("requires k >= 1")
     total = _alternating_sum(
         ctx(bounded_elem_sym, n, i, s) * ctx(modular_sym, n, k - i, s)
         for i in range(k + 1)
@@ -561,24 +567,19 @@ def _grid_s1mod_rec(r: Ranges, nested: bool = False) -> Iterator[dict]:
                 yield {"n": n, "k": k, "s": s}
 
 
-def _s1_rows(s: int, n_max: int) -> list[list[int]]:
-    # rows 0..n_max of the order-s recurrence, each starting at k = 1-s
-    return list(islice(stirling._rows_stirling1_mod(s), n_max + 1))
-
-
 def _s1rec_or_zero(ctx: _Ctx, r: Ranges, n: int, k: int, s: int) -> int:
-    # [n,k]^(s) as stirling1_mod_rec reads it, 0 outside the row, from one
-    # walk of the rows of s down to the grid's last row
-    row = ctx(_s1_rows, s, max(n, r.n_max))[n]
-    idx = k + s - 1
-    return row[idx] if 0 <= idx < len(row) else 0
+    # [n,k]^(s) for n >= 1 as `table --family stirling1mod` prints it, one
+    # triangle per s; k < 0 reads 0, as it is in every row but row 0
+    rows = ctx(stirling.triangle_rows, "stirling1mod", s, max(n, r.n_max))
+    return _entry(rows[n], k)
 
 
 def _check_s1mod_rec(ctx: _Ctx, p: dict, r: Ranges):
     n, k, s = p["n"], p["k"], p["s"]
+    if n < 1:
+        raise _Skip("requires n >= 1")
     lhs = _s1rec_or_zero(ctx, r, n, k, s)
-    idx = (n - 1) * s - (k - 1)
-    rhs = ctx(stirling._stirling1_mod_column, n, s)[idx] if idx >= 0 else 0
+    rhs = _entry(ctx(stirling._stirling1_mod_column, n, s), (n - 1) * s - (k - 1))
     return lhs, rhs
 
 

@@ -15,7 +15,8 @@ that is a constant c or a power c*x_i^a of one variable, the product scales
 the other operand's coefficients by c and shifts exponent i of each of its
 terms by a.  That shift is injective, so no two terms merge or cancel and
 the result stays canonical.  Any other pair of operands, a single term over
-two or more variables included, runs the general term-by-term loop.
+two or more variables included, runs the general term-by-term loop.  The
+power of a single term c*m is c^e times m with its exponents scaled by e.
 
 Serialized term order is graded lexicographic, largest degree first and
 lexicographically larger exponent vector first within a degree.  All printed
@@ -197,6 +198,12 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"polynomial power must be a non-negative int, got {n}")
+        if n == 0:
+            return Polynomial.one()
+        if len(self._terms) == 1:
+            # (c*m)^n is c^n times m with every exponent scaled by n
+            ((mono, c),) = self._terms.items()
+            return Polynomial._raw({tuple(a * n for a in mono): c**n})
         result = Polynomial.one()
         for _ in range(n):
             result = result * self

@@ -116,32 +116,28 @@ def _composition_poly(num_vars: int, degree: int, parts: Sequence[int]) -> Polyn
     return Polynomial._raw(terms)
 
 
+def _index_tuple_poly(index_tuples) -> Polynomial:
+    # the sum of x_{i_1+1}...x_{i_k+1} over distinct ascending index tuples,
+    # each its own monomial: 0 for no tuple, 1 for the empty one
+    terms = {}
+    for idx in index_tuples:
+        exps = [0] * (idx[-1] + 1) if idx else []
+        for i in idx:
+            exps[i] += 1
+        terms[tuple(exps)] = 1
+    return Polynomial._raw(terms)
+
+
 def elem_sym(n: int, k: int) -> Polynomial:
     """Elementary symmetric polynomial e_k(x_1..x_n); 0 when k > n, 1 when k = 0."""
     SymFunParams(n, k)
-    if k > n:
-        return Polynomial.zero()
-    terms = {}
-    for subset in combinations(range(n), k):
-        exps = [0] * (subset[-1] + 1) if subset else []
-        for i in subset:
-            exps[i] = 1
-        terms[tuple(exps)] = 1
-    return Polynomial._raw(terms)
+    return _index_tuple_poly(combinations(range(n), k))
 
 
 def comp_sym(n: int, k: int) -> Polynomial:
     """Complete homogeneous symmetric polynomial h_k(x_1..x_n); h_0 = 1."""
     SymFunParams(n, k)
-    if n == 0:
-        return Polynomial.one() if k == 0 else Polynomial.zero()
-    terms = {}
-    for multiset in combinations_with_replacement(range(n), k):
-        exps = [0] * (multiset[-1] + 1) if multiset else []
-        for i in multiset:
-            exps[i] += 1
-        terms[tuple(exps)] = 1
-    return Polynomial._raw(terms)
+    return _index_tuple_poly(combinations_with_replacement(range(n), k))
 
 
 def bounded_elem_sym(n: int, k: int, s: int) -> Polynomial:

@@ -408,18 +408,26 @@ class TestOutputErrors:
 
 
 class TestOutputFile:
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--id", "nosuch"),
-        ("eval", "--function", "M", "--k", "-1", "--vars", "1,2"),
-        ("verify", "--id", "ps1", "--n-max", "-1"),
-    ], ids=["unknown-id", "bad-eval", "empty-grid"])
-    def test_late_usage_error_keeps_existing_file(self, capsys, tmp_path, argv):
+    # library refusals, each reported with the library's own message
+    @pytest.mark.parametrize("argv,message", [
+        (("verify", "--id", "nosuch"), "unknown identity 'nosuch'"),
+        (("eval", "--function", "M", "--k", "-1", "--vars", "1,2"),
+         "k must be >= 0, got -1"),
+        (("verify", "--id", "ps1", "--n-max", "-1"), "empty parameter grid for PS1"),
+        (("enumerate", "--family", "perms", "--n", "2", "--k", "5"),
+         "need n >= k >= 0, got (2, 5)"),
+    ], ids=["unknown-id", "bad-eval", "empty-grid", "bad-enumerate"])
+    def test_late_usage_error_keeps_existing_file(
+        self, capsys, tmp_path, argv, message
+    ):
         dest = tmp_path / "out"
         dest.write_text("keep")
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--output", str(dest)])
         assert exc.value.code == 2
         assert dest.read_text() == "keep"
+        err = capsys.readouterr().err
+        assert f"modsym: error: {message}" in err and "Traceback" not in err
 
     def test_longer_file_rewritten_exactly(self, tmp_path):
         dest = tmp_path / "out"

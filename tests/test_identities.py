@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -94,6 +95,45 @@ class TestVerify:
         case = check_cell(key, n=12, k=3, s=2)
         assert case.status == "pass"
         assert case.lhs == case.rhs == "35070"
+
+    @pytest.mark.parametrize("key,params,status", [
+        ("GF_M", {"n": 2, "k": 7, "s": 1}, "pass"),  # past the quick k_max, 6
+        ("S1MOD_REC", {"n": 3, "k": 0, "s": 2}, "pass"),
+        ("S1MOD_REC", {"n": 9, "k": -1, "s": 2}, "pass"),
+        ("S1MOD_REC", {"n": -1, "k": 1, "s": 1}, "skipped"),
+        ("EVANISH", {"n": 0, "k": 0, "s": 1}, "skipped"),
+    ], ids=[
+        "GF_M-past-k_max", "S1MOD_REC-k0", "S1MOD_REC-k_minus_1",
+        "S1MOD_REC-n_minus_1", "EVANISH-k0",
+    ])
+    def test_off_grid_cell(self, key, params, status):
+        assert check_cell(key, **params).status == status
+
+    def test_off_grid_box_passes_skips_or_refuses(self):
+        # every cell of a box around each grid's corner passes, is skipped,
+        # or has parameters the library refuses; none fails or raises
+        # anything else.  S1MOD_PART's board is a bound, not a cell parameter.
+        box = {
+            "n": range(-1, 4), "k": range(-3, 9), "s": range(1, 4),
+            "m": range(-1, 3), "p": (2, 3, 4), "ell": range(4),
+        }
+        for info in list_identities():
+            names = [q for q in info.parameters if q != "board"]
+            for values in itertools.product(*(box[q] for q in names)):
+                params = dict(zip(names, values))
+                try:
+                    status = check_cell(info.id, **params).status
+                except ValueError:
+                    continue
+                assert status in ("pass", "skipped"), (info.id, params)
+
+    def test_ranges_merge_by_field(self):
+        base = Ranges(n_max=1, k_max=2, s_max=3, p_list=(2,), ell=1, board_max=4)
+        assert Ranges().merged_over(base) == base
+        for field in dataclasses.fields(Ranges):
+            value = getattr(Ranges(9, 9, 9, (5, 7), 9, 9), field.name)
+            merged = Ranges(**{field.name: value}).merged_over(base)
+            assert merged == dataclasses.replace(base, **{field.name: value})
 
     def test_ps1_example_range(self):
         rep = verify("PS1", Ranges(n_max=4, k_max=8, s_max=3))
@@ -388,6 +428,16 @@ def _bump_composition(walk):
     return patched
 
 
+def _bump_index_tuples(build):
+    # x_1 x_2 once more in e_2 and h_2 of two or more variables
+    def patched(index_tuples):
+        tuples = list(index_tuples)
+        out = build(tuples)
+        return out + _X1X2 if (0, 1) in tuples else out
+
+    return patched
+
+
 def _bump_tally(tally):
     # one extra permutation of [3] in the least min-set of every tally
     def patched(n, k=None):
@@ -458,6 +508,10 @@ ROUTE_CORES = [
     ("PART_ZERO", symfun, "_series_product", _bump_series),
     ("HIGHER_REC", enumeration, "_min_set_tally", _bump_tally),
     ("OMEGA", stirling, "_rows_stirling1_higher", _bump_higher_rows),
+    *(
+        (key, symfun, "_index_tuple_poly", _bump_index_tuples)
+        for key in ("EH_ME", "INV_ZERO", "INV_H", "INV_E")
+    ),
     *(
         (key, symfun, "_composition_poly", _bump_composition)
         for key in (

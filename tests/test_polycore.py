@@ -190,6 +190,19 @@ def test_mul_by_one_variable_power_shifts_exponents(p, c, i, a):
     assert dict((term * p).terms) == expected
 
 
+def _pow_ref(p, e):
+    # reference: e products from Polynomial.one()
+    result = Polynomial.one()
+    for _ in range(e):
+        result = result * p
+    return result
+
+
+@given(p=st.one_of(polys, one_terms), e=st.integers(0, 5))
+def test_pow_matches_repeated_product(p, e):
+    assert dict((p**e).terms) == dict(_pow_ref(p, e).terms)
+
+
 @given(a=polys, b=polys, c=polys)
 def test_add_mul_associate(a, b, c):
     assert (a + b) + c == a + (b + c)
