@@ -172,31 +172,35 @@ def _cmd_eval(args, parser) -> int:
     if args.function == "Ml":
         params["ell"] = args.ell
     with _destination(args.output, parser) as fh:
-        if args.function == "M":
-            poly = symfun.modular_sym(n, args.k, args.s)
+        if args.function == "Ml" and args.ell is None:
+            parser.error("--ell is required for --function Ml")
+        # e is E and h is M at s = 1, and only Ml reads ell
+        s = args.s if args.function in ("M", "E", "Ml") else 1
+        ell = args.ell if args.function == "Ml" else 1
+        symfun.SymFunParams(n, args.k, s, ell)
+        if point is not None:
+            # a point reads the generating rule cut at degree k: no polynomial
+            if args.function in ("E", "e"):
+                rows = symfun._bounded_rows(point, s, args.k)
+            else:
+                rows = symfun._modular_rows(point, 1, args.k, s, ell=ell)
+            value = symfun._last_entry(rows, args.k)
+        elif args.function == "M":
+            poly = symfun.modular_sym(n, args.k, s)
         elif args.function == "E":
-            poly = symfun.bounded_elem_sym(n, args.k, args.s)
+            poly = symfun.bounded_elem_sym(n, args.k, s)
         elif args.function == "e":
             poly = symfun.elem_sym(n, args.k)
         elif args.function == "h":
             poly = symfun.comp_sym(n, args.k)
         else:
-            if args.ell is None:
-                parser.error("--ell is required for --function Ml")
-            poly = symfun.lmodular_sym(n, args.k, args.s, args.ell)
-        if point is None:
-            if args.format == "text":
-                fh.write(str(poly) + "\n")
-            else:
-                _json_dump({**params, "polynomial": poly.to_json_obj()}, fh)
+            poly = symfun.lmodular_sym(n, args.k, s, ell)
+        if args.format == "text":
+            fh.write(f"{poly if point is None else value}\n")
+        elif point is None:
+            _json_dump({**params, "polynomial": poly.to_json_obj()}, fh)
         else:
-            value = poly.evaluate(point)
-            if args.format == "text":
-                fh.write(str(value) + "\n")
-            else:
-                _json_dump(
-                    {**params, "point": list(point), "value": str(value)}, fh
-                )
+            _json_dump({**params, "point": list(point), "value": str(value)}, fh)
     return 0
 
 
@@ -317,6 +321,8 @@ def _cmd_verify(args, parser) -> int:
 
 
 def main(argv=None) -> int:
+    # an exact answer may have more digits than the default int-to-str cap
+    sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

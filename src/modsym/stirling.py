@@ -16,16 +16,18 @@ first kind:
   E_{(n-1)s-(k-1)}^(s)(1..n-1): multiplying the reciprocal-point definition
   through by ((n-1)!)^s turns every exponent a_i into s-a_i, so no rational
   arithmetic is ever needed.
-* ``stirling1_mod_rec``  the same family by its order-s recurrence
+* ``stirling1_mod_rec``  the same family by the E^(s) product rule at the
+  point (1..n-1), which read from the top is the order-s recurrence
   [n,k]^(s) = sum_{l=0}^{s} [n-1, k-(s-l)]^(s) * (n-1)^l, seeded by
-  [0, 1-s]^(s) = 1: row n is row n-1 times sum_l (n-1)^l x^(s-l).
+  [0, 1-s]^(s) = 1.
 * ``stirling1_higher``  [n,k]_s with [n,k]_s = [n-1,k-1]_s + (n-1)^s [n-1,k]_s;
   these are the x^k coefficients of omega_poly(n, s).
 
 Each triangle recurrence is written once, as a generator of successive
-rows (the modular second kind's in ``symfun``); the scalar functions read
-row n from it and ``triangle_rows`` takes the first rows.  The classical
-first kind is the level-1 row of the higher level.  Rows are built
+rows (both modular kinds' in ``symfun``, the first kind as the E^(s) rows at
+0, 1, 2, ... read from the top); the scalar functions read one value from it
+and ``triangle_rows`` takes the first rows.  The classical first kind is the
+level-1 row of the higher level.  Rows are built
 bottom-up, so no recursion depth is ever an issue.
 
 Both specializations are one walk over compositions, ``_point_sums``, that
@@ -47,8 +49,9 @@ from io import StringIO
 from itertools import count, islice
 import csv
 
-from modsym.polycore import Polynomial, _cauchy
-from modsym.symfun import _modular_rows, _residue_parts, _series_product
+from modsym.polycore import Polynomial
+from modsym.symfun import _bounded_rows, _last_entry, _modular_rows
+from modsym.symfun import _residue_parts, _series_product
 
 TRIANGLE_FAMILIES = (
     "stirling2",
@@ -81,10 +84,6 @@ class StirlingQuery:
             raise ValueError(f"s must be >= 1, got {self.s}")
 
 
-def _nth_row(rows: Iterator, n: int):
-    return next(islice(rows, n, None))
-
-
 def _rows_stirling2() -> Iterator[list[int]]:
     # rows [{n,0}, ..., {n,n}] for n = 0, 1, 2, ...
     row = [1]
@@ -102,23 +101,13 @@ def _rows_stirling1_higher(s: int) -> Iterator[list[int]]:
         row = [0] + [row[j - 1] + w * (row[j] if j < i else 0) for j in range(1, i + 1)]
 
 
-def _rows_stirling1_mod(s: int) -> Iterator[list[int]]:
-    # rows [[n, 1-s]^(s), ..., [n, (n-1)s+1]^(s)] for n = 0, 1, 2, ..., from
-    # the n = 0 seed, each the last times sum_t (n-1)^{s-t} x^t
-    row = [1]
-    for i in count(1):
-        yield row
-        step = [(i - 1) ** (s - t) for t in range(s + 1)]
-        row = _cauchy(row, step, len(row) - 1 + s)
-
-
 def stirling2(n: int, k: int) -> int:
     """{n,k} via {n,k} = {n-1,k-1} + k*{n-1,k}, {0,0} = 1."""
     if n < 0 or k < 0:
         raise ValueError(f"n and k must be >= 0, got ({n}, {k})")
     if k > n:
         return 0
-    return _nth_row(_rows_stirling2(), n)[k]
+    return _last_entry(islice(_rows_stirling2(), n + 1), k)
 
 
 def stirling1(n: int, k: int) -> int:
@@ -177,7 +166,7 @@ def stirling2_mod(n: int, k: int, s: int, method: str = "recurrence") -> int:
     if method == "specialization":
         return _stirling2_mod_column(k, s, n - k)[n - k]
     if method == "recurrence":
-        return _nth_row(_modular_rows(range(1, k + 1), 1, n - k, s), k)[n - k]
+        return _last_entry(_modular_rows(range(1, k + 1), 1, n - k, s), n - k)
     raise ValueError(
         f"unknown method {method!r}; expected one of {STIRLING2_MOD_METHODS}"
     )
@@ -209,7 +198,7 @@ def stirling1_mod(n: int, k: int, s: int) -> int:
 
 
 def stirling1_mod_rec(n: int, k: int, s: int) -> int:
-    """[n,k]^(s) by its order-s recurrence, seeded by [0, 1-s]^(s) = 1.
+    """[n,k]^(s) = E_{(n-1)s+1-k}^(s)(1..n-1) by the E^(s) product rule.
 
     Defined for any integer k; values vanish below k = 1-s and above
     k = (n-1)s + 1.
@@ -218,9 +207,8 @@ def stirling1_mod_rec(n: int, k: int, s: int) -> int:
         raise ValueError(f"n must be >= 0, got {n}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    row = _nth_row(_rows_stirling1_mod(s), n)
-    idx = k + s - 1
-    return row[idx] if 0 <= idx < len(row) else 0
+    depth = (n - 1) * s + 1 - k
+    return _last_entry(_bounded_rows(range(1, n), s, depth), depth)
 
 
 def stirling1_higher(n: int, k: int, s: int) -> int:
@@ -231,7 +219,7 @@ def stirling1_higher(n: int, k: int, s: int) -> int:
         raise ValueError(f"s must be >= 1, got {s}")
     if k > n:
         return 0
-    return _nth_row(_rows_stirling1_higher(s), n)[k]
+    return _last_entry(islice(_rows_stirling1_higher(s), n + 1), k)
 
 
 def omega_poly(n: int, s: int) -> Polynomial:
@@ -285,9 +273,10 @@ def triangle_rows(family: str, s: int, n_max: int) -> list[list[int]]:
         cols = list(_modular_rows(range(1, n_max + 1), 1, n_max, s, total=n_max))
         return [[cols[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]
     if family == "stirling1mod":
-        # k = 0 is entry s-1; row 0 holds only k = 1-s, so [0,0] = 0 unless s = 1
-        rows = islice(_rows_stirling1_mod(s), n_max + 1)
-        return [row[s - 1 :] or [0] for row in rows]
+        # row n at 0, 1, 2, ... read from the top starts at k = 1-s; row 0
+        # holds only k = 1-s, so [0,0] = 0 unless s = 1
+        rows = islice(_bounded_rows(count(0), s), n_max + 1)
+        return [row[len(row) - s :: -1] if len(row) >= s else [0] for row in rows]
     if family == "stirling2":
         rows = _rows_stirling2()
     else:

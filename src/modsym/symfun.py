@@ -16,9 +16,11 @@ variable count, and a convolution of h in powered variables with e) that
 must agree on the canonical form; ``modular_series`` provides a fourth via
 the product generating function prod_i (1+x_i t)/(1-(x_i t)^{s+1}).
 
-The recurrence (``_modular_rows``) and the series (``_series_product``) are
-each written once, and the values passed in pick the ring: at the ints 1..k
-they give {n,k}^(s) = M_{n-k}^(s)(1..k), as ``stirling`` reads them.
+Three rules are each written once, and the values passed in pick the ring:
+the M^(s,ell) rows (``_modular_rows``), the E^(s) product rows
+(``_bounded_rows``) and the product series (``_series_product``).  At
+integers they give values and build no polynomial: ``modsym eval`` reads a
+point through them, and ``stirling`` reads both modular triangles from them.
 
 All functions are pure.
 """
@@ -157,26 +159,44 @@ def lmodular_sym(n: int, k: int, s: int, ell: int) -> Polynomial:
     return _composition_poly(n, k, list(_residue_parts(k, s, ell)))
 
 
-def _modular_rows(xs: Sequence, one, depth: int, s: int, total=None) -> Iterator:
+def _modular_rows(xs: Sequence, one, depth: int, s: int, total=None, ell=1):
     # The rows [M_0, ..., M_depth] of x_1..x_j, for j = 0..len(xs) in turn, by
-    # M_d(j) = M_d(j-1) + x_j M_{d-1}(j-1) + x_j^{s+1} M_{d-s-1}(j), a term of
-    # negative degree read as 0: an admissible part is 0 or 1 plus a multiple
-    # of s+1.  At the ints 1..k (one = 1), row j holds {j+d, j}^(s) at d.
-    # With ``total``, row j stops at degree total - j.
+    # M_d(j) = M_d(j-1) + x_j^ell M_{d-ell}(j-1) + x_j^{s+1} M_{d-s-1}(j), a
+    # term of negative degree read as 0 (the middle one is dropped at ell = 0):
+    # a part is 0 or ell plus a multiple of s+1.  At the ints 1..k (one = 1,
+    # ell = 1), row j holds {j+d, j}^(s) at d, and stops at total - j if given.
     row = [one] + [one * 0] * depth
     for j, x in enumerate(xs, 1):
         yield row
         prev, row = row, []
-        w = x ** (s + 1)
+        v, w = x**ell, x ** (s + 1)
         top = depth if total is None else min(depth, total - j)
         for d in range(top + 1):
             m = prev[d]
-            if d:
-                m = m + x * prev[d - 1]
+            if 0 < ell <= d:
+                m = m + v * prev[d - ell]
             if d > s:
                 m = m + w * row[d - s - 1]
             row.append(m)
     yield row
+
+
+def _bounded_rows(xs, s: int, depth: int | None = None) -> Iterator[list]:
+    # Row j, for j = 0, 1, ... over the values of xs, is [E_0^(s), ...,
+    # E_js^(s)] of x_1..x_j, the coefficients of prod_{i<=j} sum_{t<=s}
+    # (x_i u)^t, cut at u^depth when given.
+    row = [1]
+    for x in xs:
+        yield row
+        top = len(row) - 1 + s if depth is None else min(len(row) - 1 + s, depth)
+        row = _cauchy(row, [x**t for t in range(s + 1)], top)
+    yield row
+
+
+def _last_entry(rows: Iterator, k: int):
+    # entry k of the last row, or 0 outside it: one value of a rule
+    row = deque(rows, maxlen=1)[0]
+    return row[k] if 0 <= k < len(row) else 0
 
 
 def _modular_rec(n: int, k: int, s: int) -> list[Polynomial]:

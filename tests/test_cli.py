@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -89,6 +90,27 @@ ac1405d63be4dc267756dd2140348493cd29e89c5b3b92d7fb8f4ee16c71fd9f  table --family
 f046a8306d02f9c0ae4a96ecac4cb81bb8b73175e9df2e11f2c668021ec80b7c  table --family stirling1mod --s 4 --n-max 40 --format json
 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865  table --family stirling1mod --s 1 --n-max 0
 9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa  table --family stirling1mod --s 2 --n-max 0
+d176345b1432aacdf232077058c9a4bd9a65cb1b6b0c3cf1d8b4cfe075a91c1d  eval --function M --s 2 --k 6 --vars=-3,2,5,-1 
+ad84104931e4d414aff9d0bd80fa0b48cf438266c49cf1d9818fce0bee5af133  eval --function M --s 2 --k 6 --vars=-3,2,5,-1 --format json 
+4cb12f027f2651a12ee280a05525b55fe77bb49a9ed7c600982c50b266225f69  eval --function M --s 3 --k 0 --vars 5,7 --format json 
+654ee9da442fa353f59f11beb688fc7f76c8de62a6c18b2a181fdde2a27cc3ef  eval --function E --s 2 --k 5 --vars=4,-2,3 
+3edd18de1bfed49d9eb2cfd5c049ba1a3e7d6e1f9339b5de0ba540cd67d68329  eval --function E --s 2 --k 5 --vars=4,-2,3 --format json 
+9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa  eval --function E --s 2 --k 7 --vars=4,-2,3 
+b8d7ce91ebea1dd8908421367701e869556c052d14bf279c0b9a39c3a94a4f7d  eval --function E --s 3 --k 0 --vars=-6 --format json 
+0093d664d2f8d814430a87f7d9103784f9998cf58b3646efc3c6a10321858e5c  eval --function e --k 3 --vars=-6,9,2,-1,5 
+1165d1e8f7c9ee9d39430d4974ede21e5ef333d4c31548823ef135a8007a66b7  eval --function e --k 3 --vars=-6,9,2,-1,5 --format json 
+48d18a707c490435730d7050f034cfa4897fc8aba3c5d6dcaa2fcaa6b420b9a1  eval --function e --k 4 --vars 1,2,3 --format json 
+4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865  eval --function e --k 0 --vars 8,9 
+527a8f1aa47e18e867d53a3253fd2e1bd6da8fffe3624841c301178ce95bd786  eval --function h --k 5 --vars=-2,7,3 
+d473ee991abb58dc2c7d073e28b8dfe6b6e9471e6fdcbdaf083a2158acd3b67b  eval --function h --k 5 --vars=-2,7,3 --format json 
+d857749ea5d8f4721c6ae5e1566dc8f8a29209bd436687429d7dd77f8fe9f389  eval --function h --k 0 --vars=-4 --format json 
+9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa  eval --function Ml --s 3 --ell 2 --k 7 --vars=2,-1,3 
+19bf937695f642a3c6a5ebe68b43fcd22c3887f25873fa6cf284f9d84f639756  eval --function Ml --s 3 --ell 2 --k 8 --vars=2,-1,3 
+38d371477d68c746ed6931c609541a914b7fb525a1714d8f7bac2fca42f5215b  eval --function Ml --s 3 --ell 2 --k 8 --vars=2,-1,3 --format json 
+5e7e6e6ef5ae452f1c90dffb1e1b425a97ec1d7035a0a5aeed6592cf4df62be3  eval --function Ml --s 3 --ell 0 --k 8 --vars=2,-1,3 
+294b7f0653080828b377e0a39a3428955e06ea444b6be31f0726f39b9688ad12  eval --function Ml --s 3 --ell 0 --k 8 --vars=2,-1,3 --format json 
+59d3cc380e09f30e5493dfcf34903d2cf49862e86ce49ec704c3b4125aa38e95  eval --function Ml --s 5 --ell 3 --k 9 --vars=-5,4,1,-2 
+4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865  eval --function Ml --s 2 --ell 1 --k 0 --vars 6 
 """.splitlines()]
 
 
@@ -210,6 +232,67 @@ class TestEval:
             with pytest.raises(SystemExit) as exc:
                 main(["eval", "--function", "h", "--k", "2", "--vars", bad])
             assert exc.value.code == 2
+
+    def test_point_matches_the_evaluated_polynomial(self, capsys):
+        # a point reads the generating rules; the reference builds the
+        # polynomial and evaluates it there
+        rng = random.Random(18)
+        cases = [("e", 1, None), ("h", 1, None)] + [
+            case
+            for s in range(1, 5)
+            for case in [("M", s, None), ("E", s, None)]
+            + [("Ml", s, ell) for ell in range(s + 1)]
+        ]
+        builders = {
+            "M": lambda n, k, s, ell: symfun.modular_sym(n, k, s),
+            "E": lambda n, k, s, ell: symfun.bounded_elem_sym(n, k, s),
+            "e": lambda n, k, s, ell: symfun.elem_sym(n, k),
+            "h": lambda n, k, s, ell: symfun.comp_sym(n, k),
+            "Ml": symfun.lmodular_sym,
+        }
+        for fn, s, ell in cases:
+            for n in range(1, 6):
+                for k in range(10):
+                    point = [rng.randint(-6, 9) for _ in range(n)]
+                    argv = ["eval", "--function", fn, "--s", str(s), "--k", str(k),
+                            "--vars=" + ",".join(map(str, point))]
+                    if ell is not None:
+                        argv += ["--ell", str(ell)]
+                    code, out = run_cli(capsys, *argv)
+                    want = builders[fn](n, k, s, ell).evaluate(point)
+                    assert code == 0 and out == f"{want}\n", argv
+
+    def test_rules_build_no_polynomial(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point built or evaluated a polynomial")
+
+        for name in ("modular_sym", "bounded_elem_sym", "elem_sym", "comp_sym",
+                     "lmodular_sym"):
+            monkeypatch.setattr(symfun, name, refuse)
+        monkeypatch.setattr(modsym.polycore.Polynomial, "evaluate", refuse)
+        def ints(top):
+            return ",".join(map(str, range(1, top + 1)))
+
+        # e_15(1..30) = [31, 16] and h_16(1..12) = {28, 12}
+        for argv, want in (
+            (("e", "--k", "15", "--vars", ints(30)), stirling.stirling1(31, 16)),
+            (("h", "--k", "16", "--vars", ints(12)), stirling.stirling2(28, 12)),
+            (("M", "--s", "2", "--k", "30", "--vars", ints(10)), None),
+            (("E", "--s", "4", "--k", "30", "--vars", ints(10)), None),
+            (("Ml", "--s", "3", "--ell", "2", "--k", "40", "--vars", ints(3)), None),
+        ):
+            code, out = run_cli(capsys, "eval", "--function", *argv)
+            assert code == 0 and int(out) > 0 and want in (None, int(out)), argv
+
+    def test_answer_past_the_default_digit_limit(self, capsys):
+        # X**3 has 4500 digits, past the interpreter's default of 4300 for
+        # converting an int to text
+        x = 10**1500 - 1
+        nines = "9" * 1500
+        code = main(["eval", "--function", "e", "--k", "3", "--vars", f"{nines},{nines},{nines}"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out == f"{x**3}\n"
 
 
 class TestEnumerate:
@@ -400,6 +483,7 @@ class TestOutputErrors:
 
         monkeypatch.setattr(stirling, "triangle_rows", refuse)
         monkeypatch.setattr(symfun, "modular_sym", refuse)
+        monkeypatch.setattr(symfun, "_modular_rows", refuse)
         monkeypatch.setattr(identities, "verify", refuse)
         monkeypatch.setattr(identities, "mutation_selftest", refuse)
         with pytest.raises(SystemExit) as exc:

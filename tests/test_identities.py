@@ -208,16 +208,16 @@ class TestVerify:
         assert set(calls) == {(k, s, 8 - k) for k in range(9) for s in (1, 2)}
 
     def test_verify_all_walks_first_kind_rows_once_per_grid(self, monkeypatch):
-        # S1MOD_REC and NESTED read [n,k]^(s) from one walk of the rows of s
-        # each, through the sweep's memo
+        # S1MOD_REC and NESTED read [n,k]^(s) from one walk of the E^(s)
+        # rows of s each, through the sweep's memo
         calls = []
-        rows = stirling._rows_stirling1_mod
+        rows = stirling._bounded_rows
 
-        def counted(s):
+        def counted(xs, s, depth=None):
             calls.append(s)
-            return rows(s)
+            return rows(xs, s, depth)
 
-        monkeypatch.setattr(stirling, "_rows_stirling1_mod", counted)
+        monkeypatch.setattr(stirling, "_bounded_rows", counted)
         verify_all("quick")
         assert sorted(calls) == [1, 1, 2, 2]
 
@@ -309,11 +309,12 @@ def _bump_s1_column(walk):
     return patched
 
 
-def _bump_s1_rows(rows):
-    def patched(s):
-        for n, row in enumerate(rows(s)):
-            # [3,2]^(1), at entry k + s - 1 of a row that starts at k = 1-s
-            yield row[:2] + [row[2] + 1] + row[3:] if (n, s) == (3, 1) else row
+def _bump_e_rows(rows):
+    def patched(xs, s, depth=None):
+        for n, row in enumerate(rows(xs, s, depth)):
+            # [3,2]^(1) = E_1^(1) of the first three points, 0, 1, 2 in the
+            # first-kind triangle
+            yield row[:1] + [row[1] + 1] + row[2:] if (n, s) == (3, 1) else row
 
     return patched
 
@@ -477,7 +478,7 @@ _WALK_ZERO = _bump_placements((5, 3), 0)
 
 ROUTE_CORES = [
     ("S1MOD_REC", stirling, "_stirling1_mod_column", _bump_s1_column),
-    ("S1MOD_REC", stirling, "_rows_stirling1_mod", _bump_s1_rows),
+    ("S1MOD_REC", stirling, "_bounded_rows", _bump_e_rows),
     ("S1MOD_REC", stirling, "_point_sums", _S1_CELL),
     ("S1MOD_DEF", stirling, "_stirling1_mod_column", _bump_s1_column),
     ("S1MOD_DEF", stirling, "_point_sums", _S1_CELL),
@@ -502,7 +503,7 @@ ROUTE_CORES = [
     ("GF_M", symfun, "_modular_rec", _bump_modular_row),
     ("GF_M", symfun, "_series_product", _bump_series),
     ("NESTED", enumeration, "_min_set_tally", _bump_tally),
-    ("NESTED", stirling, "_rows_stirling1_mod", _bump_s1_rows),
+    ("NESTED", stirling, "_bounded_rows", _bump_e_rows),
     ("PS1", symfun, "_series_product", _bump_series),
     ("LMOD", symfun, "_series_product", _bump_series),
     ("PART_ZERO", symfun, "_series_product", _bump_series),

@@ -222,23 +222,34 @@ class TestStirling1Mod:
                     assert stirling1_mod(n, k, s) == stirling1_mod_rec(n, k, s)
 
     def test_rows_match_the_reference_rows(self, monkeypatch):
+        # row n of the E^(s) rows at 0, 1, 2, ... read from the top is
+        # [n, 1-s]^(s), ..., [n, (n-1)s+1]^(s)
         rows = {
-            s: list(islice(stirling._rows_stirling1_mod(s), 41)) for s in range(1, 5)
+            s: list(islice(stirling._bounded_rows(count(0), s), 41))
+            for s in range(1, 5)
         }
-        # stirling1_mod_rec replays the rows built once, so that every k from
-        # below the seed to past the support is read from each; an index
-        # outside a row must never wrap around
-        monkeypatch.setattr(stirling, "_rows_stirling1_mod", lambda s: iter(rows[s]))
+        refs = {s: list(islice(_reference_s1mod_rows(s), 41)) for s in range(1, 5)}
         for s in range(1, 5):
-            refs = list(islice(_reference_s1mod_rows(s), 41))
-            for n, (row, ref) in enumerate(zip(rows[s], refs)):
+            for n, (row, ref) in enumerate(zip(rows[s], refs[s])):
                 assert len(row) == n * s + 1
-                for k in range(-s - 3, (n - 1) * s + 5):
-                    assert stirling1_mod_rec(n, k, s) == ref.get(k, 0), (n, k, s)
+                assert row[::-1] == [ref.get(k, 0) for k in range(1 - s, (n - 1) * s + 2)]
             assert triangle_rows("stirling1mod", s, 40) == [
                 [ref.get(k, 0) for k in range(max(0, (n - 1) * s + 1) + 1)]
-                for n, ref in enumerate(refs)
+                for n, ref in enumerate(refs[s])
             ]
+        # stirling1_mod_rec replays E^(s)(1..n-1) from the rows built once (the
+        # point 0 multiplies by 1), cut at the depth it asks for, so that every
+        # k from below the seed to past the support is read from each; an
+        # index outside a row must never wrap around
+        monkeypatch.setattr(
+            stirling,
+            "_bounded_rows",
+            lambda xs, s, depth: iter([rows[s][len(xs) + 1][: max(depth + 1, 0)]]),
+        )
+        for s in range(1, 5):
+            for n, ref in enumerate(refs[s]):
+                for k in range(-s - 3, (n - 1) * s + 5):
+                    assert stirling1_mod_rec(n, k, s) == ref.get(k, 0), (n, k, s)
 
     def test_out_of_support_is_zero(self):
         assert stirling1_mod(3, 20, 2) == 0
@@ -264,15 +275,13 @@ class TestStirling1Mod:
 
 class TestColumnWalks:
     def test_first_kind_column_is_a_recurrence_row(self):
-        # entry idx of column n is [n, (n-1)s+1-idx]^(s), and the rows start
-        # at k = 1-s
+        # entry idx of column n is [n, (n-1)s+1-idx]^(s) = E_idx^(s)(1..n-1),
+        # entry idx of the E^(s) row n at 0, 1, 2, ...
         for s in (1, 2, 3):
-            for n, row in enumerate(islice(stirling._rows_stirling1_mod(s), 9)):
+            for n, row in enumerate(islice(stirling._bounded_rows(count(0), s), 9)):
                 if n:
                     top = (n - 1) * s + 1
-                    assert stirling._stirling1_mod_column(n, s) == [
-                        row[top - idx + s - 1] for idx in range(top)
-                    ], (n, s)
+                    assert stirling._stirling1_mod_column(n, s) == row[:top], (n, s)
 
     def test_first_kind_single_degree_walk(self):
         for n in range(1, 8):

@@ -191,17 +191,63 @@ class TestModularSeries:
 
 
 class TestSharedRules:
-    # the M^(s) rows and the product series take their ring from the values:
-    # at the ints 1..k they are the polynomial rules evaluated at (1..k)
+    # the M^(s,ell) rows, the E^(s) rows and the product series take their
+    # ring from the values: at integers they are the polynomial rules
+    # evaluated there
     def test_rows_at_integers_are_evaluated_polynomial_rows(self):
         for s in (1, 2, 3):
             for k in range(5):
                 point = tuple(range(1, k + 1))
                 variables = [Polynomial.variable(i) for i in point]
-                rows = symfun._modular_rows(variables, Polynomial.one(), 7, s)
-                assert [[p.evaluate(point) for p in row] for row in rows] == list(
-                    symfun._modular_rows(point, 1, 7, s)
-                )
+                for ell in range(s + 1):
+                    rows = symfun._modular_rows(
+                        variables, Polynomial.one(), 7, s, ell=ell
+                    )
+                    assert [[p.evaluate(point) for p in row] for row in rows] == list(
+                        symfun._modular_rows(point, 1, 7, s, ell=ell)
+                    )
+                for depth in (None, 4):
+                    # E^(s) rows hold an int where no product reaches
+                    rows = symfun._bounded_rows(variables, s, depth)
+                    assert [
+                        [c.evaluate(point) for c in TruncatedSeries(row).coeffs]
+                        for row in rows
+                    ] == list(symfun._bounded_rows(point, s, depth))
+
+    def test_last_rows_are_the_functions(self):
+        # the last row of each rule at polynomial variables is the function
+        # the builders enumerate, for every ell and past the top degree of E
+        for n in range(4):
+            variables = [Polynomial.variable(i) for i in range(1, n + 1)]
+            for s in (1, 2, 3):
+                *_, e_row = symfun._bounded_rows(variables, s)
+                assert len(e_row) == n * s + 1
+                for k in range(n * s + 3):
+                    assert symfun._last_entry(
+                        symfun._bounded_rows(variables, s, k), k
+                    ) == bounded_elem_sym(n, k, s), (n, k, s)
+                for ell in range(s + 1):
+                    *_, m_row = symfun._modular_rows(
+                        variables, Polynomial.one(), 7, s, ell=ell
+                    )
+                    assert m_row == [
+                        lmodular_sym(n, k, s, ell) for k in range(8)
+                    ], (n, s, ell)
+
+    def test_cut_rows_are_prefixes_of_the_full_rows(self):
+        # a row cut at u^depth is the full row's prefix, and one value at the
+        # point reads 0 below degree 0 and past the top degree
+        for point in ((), (0,), (3, -2), (-1, 0, 4)):
+            for s in (1, 2, 3):
+                full = list(symfun._bounded_rows(point, s))
+                for depth in range(-3, len(point) * s + 3):
+                    rows = list(symfun._bounded_rows(point, s, depth))
+                    assert rows[0] == [1] and len(rows) == len(full)
+                    for row, whole in zip(rows[1:], full[1:]):
+                        assert row == whole[: max(depth + 1, 0)]
+                    for k in range(-3, depth + 1):
+                        value = symfun._last_entry(iter(rows), k)
+                        assert value == (full[-1][k] if 0 <= k < len(full[-1]) else 0)
 
     def test_triangle_rows_stop_at_the_total_degree(self):
         rows = list(symfun._modular_rows(range(1, 6), 1, 5, 2, total=5))
