@@ -13,8 +13,8 @@ equality with no tolerances, and serializes them.  Cells whose preconditions
 fail (even s for the odd-s vanishing identity, gcd(ell, s+1) > 1 for the
 residue-ell expansion, and off the grids n < 1 for S1MOD_REC and k < 1 for
 EVANISH) are counted as skipped, never as failures.  An index that may fall
-outside a memoised row, column or series is read through ``_entry``: entry
-i, or 0 outside it, from a sequence grown to depth max(i, grid bound).
+outside a memoised row, column or series is read through ``symfun._entry``:
+entry i, or 0 outside it, from a sequence grown to depth max(i, grid bound).
 
 ``mutation_selftest`` reruns five catalog checkers, each with one keyword
 hook (a constant whose default is the true value) changed; each must fail
@@ -60,6 +60,7 @@ from modsym.stirling import (
     stirling2_mod_series,
 )
 from modsym.symfun import (
+    _entry,
     _modular_conv,
     _residue_parts,
     bounded_elem_sym,
@@ -285,11 +286,6 @@ class _Skip(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-def _entry(seq, i: int):
-    # a negative i must read 0, not wrap to the far end
-    return seq[i] if 0 <= i < len(seq) else 0
 
 
 def _check_gf_m(ctx: _Ctx, p: dict, r: Ranges):

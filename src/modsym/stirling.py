@@ -20,15 +20,16 @@ first kind:
   point (1..n-1), which read from the top is the order-s recurrence
   [n,k]^(s) = sum_{l=0}^{s} [n-1, k-(s-l)]^(s) * (n-1)^l, seeded by
   [0, 1-s]^(s) = 1.
-* ``stirling1_higher``  [n,k]_s with [n,k]_s = [n-1,k-1]_s + (n-1)^s [n-1,k]_s;
-  these are the x^k coefficients of omega_poly(n, s).
+* ``stirling1_higher``  [n,k]_s = e_{n-k}(0^s, 1^s, ..., (n-1)^s), the x^k
+  coefficient of omega_poly(n, s); the classical [n,k] is level 1.
 
-Each triangle recurrence is written once, as a generator of successive
-rows (both modular kinds' in ``symfun``, the first kind as the E^(s) rows at
-0, 1, 2, ... read from the top); the scalar functions read one value from it
-and ``triangle_rows`` takes the first rows.  The classical first kind is the
-level-1 row of the higher level.  Rows are built
-bottom-up, so no recursion depth is ever an issue.
+Every first kind reads one rule, the E rows of ``symfun._bounded_rows``,
+from the top: E^(s) at 0, 1, 2, ... for [n,k]^(s), and e at 0^s, 1^s,
+2^s, ... for [n,k]_s.  ``_rows_stirling2`` is the one recurrence left
+here: the M^(1) rows also give {n,k}, but slower, and FERMAT at p = 2 would
+then read them on both sides.  The scalar functions read one value from a
+rule and ``triangle_rows`` the first rows, built bottom-up, so no recursion
+depth is ever an issue.
 
 Both specializations are one walk over compositions, ``_point_sums``, that
 multiplies out each monomial at the point as it goes and never builds the
@@ -90,15 +91,6 @@ def _rows_stirling2() -> Iterator[list[int]]:
     for i in count(1):
         yield row
         row = [0] + [row[j - 1] + j * row[j] if j < i else row[j - 1] for j in range(1, i + 1)]
-
-
-def _rows_stirling1_higher(s: int) -> Iterator[list[int]]:
-    # rows [[n,0]_s, ..., [n,n]_s] for n = 0, 1, 2, ...
-    row = [1]
-    for i in count(1):
-        yield row
-        w = (i - 1) ** s
-        row = [0] + [row[j - 1] + w * (row[j] if j < i else 0) for j in range(1, i + 1)]
 
 
 def stirling2(n: int, k: int) -> int:
@@ -212,14 +204,12 @@ def stirling1_mod_rec(n: int, k: int, s: int) -> int:
 
 
 def stirling1_higher(n: int, k: int, s: int) -> int:
-    """Level-s first kind [n,k]_s = [n-1,k-1]_s + (n-1)^s [n-1,k]_s, [0,0]_s = 1."""
+    """Level-s first kind [n,k]_s = e_{n-k}(0^s, 1^s, ..., (n-1)^s)."""
     if n < 0 or k < 0:
         raise ValueError(f"n and k must be >= 0, got ({n}, {k})")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    if k > n:
-        return 0
-    return _last_entry(islice(_rows_stirling1_higher(s), n + 1), k)
+    return _last_entry(_bounded_rows([j**s for j in range(n)], 1, n - k), n - k)
 
 
 def omega_poly(n: int, s: int) -> Polynomial:
@@ -272,16 +262,13 @@ def triangle_rows(family: str, s: int, n_max: int) -> list[list[int]]:
     if family == "stirling2mod":
         cols = list(_modular_rows(range(1, n_max + 1), 1, n_max, s, total=n_max))
         return [[cols[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]
-    if family == "stirling1mod":
-        # row n at 0, 1, 2, ... read from the top starts at k = 1-s; row 0
-        # holds only k = 1-s, so [0,0] = 0 unless s = 1
-        rows = islice(_bounded_rows(count(0), s), n_max + 1)
-        return [row[len(row) - s :: -1] if len(row) >= s else [0] for row in rows]
     if family == "stirling2":
-        rows = _rows_stirling2()
-    else:
-        rows = _rows_stirling1_higher(1 if family == "stirling1" else s)
-    return list(islice(rows, n_max + 1))
+        return list(islice(_rows_stirling2(), n_max + 1))
+    # a first kind: the E^(bound) rows at 0^level, 1^level, ... from the top;
+    # row 0 of the modular kind holds only k = 1-s, so [0,0]^(s) = 0 unless s = 1
+    level, bound = {"stirling1mod": (1, s), "stirling1higher": (s, 1)}.get(family, (1, 1))
+    rows = islice(_bounded_rows((j**level for j in count(0)), bound), n_max + 1)
+    return [row[len(row) - bound :: -1] if len(row) >= bound else [0] for row in rows]
 
 
 def triangle_csv(rows: list[list[int]]) -> str:

@@ -184,19 +184,28 @@ def _modular_rows(xs: Sequence, one, depth: int, s: int, total=None, ell=1):
 def _bounded_rows(xs, s: int, depth: int | None = None) -> Iterator[list]:
     # Row j, for j = 0, 1, ... over the values of xs, is [E_0^(s), ...,
     # E_js^(s)] of x_1..x_j, the coefficients of prod_{i<=j} sum_{t<=s}
-    # (x_i u)^t, cut at u^depth when given.
+    # (x_i u)^t, cut at u^depth when given (no cell at a negative depth):
+    # row j-1 plus x_j^t times row j-1 shifted by t, for t = 1..s.
     row = [1]
     for x in xs:
         yield row
-        top = len(row) - 1 + s if depth is None else min(len(row) - 1 + s, depth)
-        row = _cauchy(row, [x**t for t in range(s + 1)], top)
+        new = row + [0] * s
+        # a shift past the depth writes only cells that are cut
+        for t in range(1, s + 1 if depth is None else min(s, depth) + 1):
+            p = x**t
+            new[t : t + len(row)] = [a + p * b for a, b in zip(new[t:], row)]
+        row = new if depth is None else new[: max(depth + 1, 0)]
     yield row
+
+
+def _entry(seq, i: int):
+    # entry i, or 0 outside seq: a negative i must read 0, not wrap around
+    return seq[i] if 0 <= i < len(seq) else 0
 
 
 def _last_entry(rows: Iterator, k: int):
     # entry k of the last row, or 0 outside it: one value of a rule
-    row = deque(rows, maxlen=1)[0]
-    return row[k] if 0 <= k < len(row) else 0
+    return _entry(deque(rows, maxlen=1)[0], k)
 
 
 def _modular_rec(n: int, k: int, s: int) -> list[Polynomial]:

@@ -90,6 +90,14 @@ ac1405d63be4dc267756dd2140348493cd29e89c5b3b92d7fb8f4ee16c71fd9f  table --family
 f046a8306d02f9c0ae4a96ecac4cb81bb8b73175e9df2e11f2c668021ec80b7c  table --family stirling1mod --s 4 --n-max 40 --format json
 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865  table --family stirling1mod --s 1 --n-max 0
 9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa  table --family stirling1mod --s 2 --n-max 0
+0e125ed931cc63efa172a764fc0578ef820a4ed9805e8c2c2ccbeb96d138fb2f  table --family stirling1higher --s 2 --n-max 40 --format text
+0554184dfb3df55ddd3570f0f47ba7d21846d8966eed01f55eea724f2afa7844  table --family stirling1higher --s 2 --n-max 40 --format csv
+2da8d2fcade6f1e49b0d1568300ed59305bfa1769c0cc72c46cf25593072dcb0  table --family stirling1higher --s 2 --n-max 40 --format json
+75c224657fb1c0bac862a0c9e85991e05349ee9cef384ae3a6f5e2b6a618871d  table --family stirling1higher --s 4 --n-max 40 --format text
+415e9de7ce498945e5f81b59a81f264cf662951a6a7c3bbcb60a27e5a3ed71c6  table --family stirling1higher --s 4 --n-max 40 --format csv
+fa11c1ed0bc29b227013435509de7e68f142e4f2c5d0f1b6515fcf531cf7ce97  table --family stirling1higher --s 4 --n-max 40 --format json
+4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865  table --family stirling1 --s 1 --n-max 0
+4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865  table --family stirling1higher --s 2 --n-max 0
 d176345b1432aacdf232077058c9a4bd9a65cb1b6b0c3cf1d8b4cfe075a91c1d  eval --function M --s 2 --k 6 --vars=-3,2,5,-1 
 ad84104931e4d414aff9d0bd80fa0b48cf438266c49cf1d9818fce0bee5af133  eval --function M --s 2 --k 6 --vars=-3,2,5,-1 --format json 
 4cb12f027f2651a12ee280a05525b55fe77bb49a9ed7c600982c50b266225f69  eval --function M --s 3 --k 0 --vars 5,7 --format json 

@@ -208,16 +208,17 @@ class TestVerify:
         assert set(calls) == {(k, s, 8 - k) for k in range(9) for s in (1, 2)}
 
     def test_verify_all_walks_first_kind_rows_once_per_grid(self, monkeypatch):
-        # S1MOD_REC and NESTED read [n,k]^(s) from one walk of the E^(s)
-        # rows of s each, through the sweep's memo
+        # S1MOD_REC and NESTED read [n,k]^(s) from one modular first-kind
+        # triangle of s each, through the sweep's memo
         calls = []
-        rows = stirling._bounded_rows
+        triangle = stirling.triangle_rows
 
-        def counted(xs, s, depth=None):
-            calls.append(s)
-            return rows(xs, s, depth)
+        def counted(family, s, n_max):
+            if family == "stirling1mod":
+                calls.append(s)
+            return triangle(family, s, n_max)
 
-        monkeypatch.setattr(stirling, "_bounded_rows", counted)
+        monkeypatch.setattr(stirling, "triangle_rows", counted)
         verify_all("quick")
         assert sorted(calls) == [1, 1, 2, 2]
 
@@ -312,9 +313,10 @@ def _bump_s1_column(walk):
 def _bump_e_rows(rows):
     def patched(xs, s, depth=None):
         for n, row in enumerate(rows(xs, s, depth)):
-            # [3,2]^(1) = E_1^(1) of the first three points, 0, 1, 2 in the
-            # first-kind triangle
-            yield row[:1] + [row[1] + 1] + row[2:] if (n, s) == (3, 1) else row
+            # E_1^(1) of the first three points: [3,2]^(1) at 0, 1, 2 and
+            # [3,2]_s at 0^s, 1^s, 2^s; a row cut at depth 0 has no E_1
+            bumped = (n, s) == (3, 1) and len(row) >= 2
+            yield row[:1] + [row[1] + 1] + row[2:] if bumped else row
 
     return patched
 
@@ -450,15 +452,6 @@ def _bump_tally(tally):
     return patched
 
 
-def _bump_higher_rows(rows):
-    # [3,2]_s in every level-s row walk
-    def patched(s):
-        for n, row in enumerate(rows(s)):
-            yield row[:2] + [row[2] + 1] + row[3:] if n == 3 else row
-
-    return patched
-
-
 _S1_CELL = _bump_point_sums(2, (0, 1), 0)  # [3,3]^(1), parts at most 1
 _S2_CELL = _bump_point_sums(2, (0, 1, 2, 3), 3)  # {5,2}^(1), all parts
 _S2_ROWS = _bump_s2_rows((5, 2), 1)
@@ -508,7 +501,10 @@ ROUTE_CORES = [
     ("LMOD", symfun, "_series_product", _bump_series),
     ("PART_ZERO", symfun, "_series_product", _bump_series),
     ("HIGHER_REC", enumeration, "_min_set_tally", _bump_tally),
-    ("OMEGA", stirling, "_rows_stirling1_higher", _bump_higher_rows),
+    *(
+        (key, stirling, "_bounded_rows", _bump_e_rows)
+        for key in ("OMEGA", "HIGHER_REC", "LMOD", "PS1", "FERMAT")
+    ),
     *(
         (key, symfun, "_index_tuple_poly", _bump_index_tuples)
         for key in ("EH_ME", "INV_ZERO", "INV_H", "INV_E")

@@ -82,6 +82,16 @@ def _reference_s1mod_rows(s):
         row = new
 
 
+def _reference_higher_rows(s):
+    # The level-s rows [[n,0]_s, ..., [n,n]_s] before they were read from the
+    # E rows, each from [n,k]_s = [n-1,k-1]_s + (n-1)^s [n-1,k]_s
+    row = [1]
+    for i in count(1):
+        yield row
+        w = (i - 1) ** s
+        row = [0] + [row[j - 1] + w * (row[j] if j < i else 0) for j in range(1, i + 1)]
+
+
 class TestClassical:
     def test_initial_conditions(self):
         assert stirling2(0, 0) == 1
@@ -332,6 +342,18 @@ class TestStirling1Higher:
         for n in range(9):
             for k in range(n + 1):
                 assert stirling1_higher(n, k, 1) == stirling1(n, k)
+
+    def test_rows_match_the_reference_rows(self):
+        # both first-kind triangles read from the E rows at 0^s, 1^s, 2^s, ...
+        # and one value cut from them, 0 past the row
+        classical = list(islice(_reference_higher_rows(1), 41))
+        for s in range(1, 5):
+            refs = list(islice(_reference_higher_rows(s), 41))
+            assert triangle_rows("stirling1higher", s, 40) == refs
+            assert triangle_rows("stirling1", s, 40) == classical
+            for n, ref in enumerate(refs[:21]):
+                for k in range(n + 3):
+                    assert stirling1_higher(n, k, s) == (ref[k] if k <= n else 0)
 
     def test_reference_value(self):
         assert stirling1_higher(3, 2, 2) == 5

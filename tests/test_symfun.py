@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modsym import symfun
-from modsym.polycore import Polynomial, TruncatedSeries
+from modsym.polycore import Polynomial, TruncatedSeries, _cauchy
 from modsym.stirling import stirling1, stirling2
 from modsym.symfun import (
     MODULAR_METHODS,
@@ -37,6 +39,17 @@ def brute_modular(n, k, s, residues=(0, 1)):
         if all(a % (s + 1) in residues for a in comp):
             terms[comp] = 1
     return Polynomial(terms)
+
+
+def _reference_bounded_rows(xs, s, depth=None):
+    # The E^(s) rows before they were shifted sums: each row times the
+    # factor sum_{t<=s} (x u)^t as a Cauchy product, cut at u^depth
+    row = [1]
+    for x in xs:
+        yield row
+        top = len(row) - 1 + s if depth is None else min(len(row) - 1 + s, depth)
+        row = _cauchy(row, [x**t for t in range(s + 1)], top)
+    yield row
 
 
 class TestElemComp:
@@ -248,6 +261,18 @@ class TestSharedRules:
                     for k in range(-3, depth + 1):
                         value = symfun._last_entry(iter(rows), k)
                         assert value == (full[-1][k] if 0 <= k < len(full[-1]) else 0)
+
+    def test_bounded_rows_match_the_reference_rows(self):
+        # the shifted sums give the Cauchy-product rows, cut or not; a
+        # negative depth leaves every row after the first empty
+        rng = random.Random(7)
+        for n in range(8):
+            for s in range(1, 5):
+                point = [rng.randint(-6, 9) for _ in range(n)]
+                for depth in (None, *range(-3, 13)):
+                    assert list(symfun._bounded_rows(point, s, depth)) == list(
+                        _reference_bounded_rows(point, s, depth)
+                    ), (point, s, depth)
 
     def test_triangle_rows_stop_at_the_total_degree(self):
         rows = list(symfun._modular_rows(range(1, 6), 1, 5, 2, total=5))
