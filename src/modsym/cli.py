@@ -7,10 +7,10 @@ identical invocations produce byte-identical output.  ``main`` builds its
 parser once per process, on the first call, and reuses it for later calls.
 
 Exit status: 0 success, 1 verification failures present, 2 usage error (a
-bad flag, or a library refusal: ``main`` alone turns the library's
-``ValueError`` into exit 2 with its message), 141 stdout closed by its
-reader before all output was written (128 + SIGPIPE, as for a program killed
-by that signal; nothing is printed to stderr).
+bad flag, or a refusal: every refusal, the library's and the CLI's own, is a
+``ValueError`` that ``main`` alone turns into exit 2 with its message), 141
+stdout closed by its reader before all output was written (128 + SIGPIPE, as
+for a program killed by that signal; nothing is printed to stderr).
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 @contextmanager
-def _destination(path: str | None, parser):
+def _destination(path: str | None):
     if path is None:
         yield sys.stdout
         sys.stdout.flush()
@@ -117,7 +117,7 @@ def _destination(path: str | None, parser):
         fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
                   encoding="utf-8", newline="")
     except OSError as exc:
-        parser.error(f"cannot open --output {path!r}: {exc.strerror}")
+        raise ValueError(f"cannot open --output {path!r}: {exc.strerror}") from None
     with fh:
         try:
             yield fh
@@ -132,12 +132,12 @@ def _json_dump(obj, fh):
     fh.write(json.dumps(obj) + "\n")
 
 
-def _cmd_table(args, parser) -> int:
+def _cmd_table(args) -> int:
     if args.s < 1:
-        parser.error(f"--s must be >= 1, got {args.s}")
+        raise ValueError(f"--s must be >= 1, got {args.s}")
     if args.n_max < 0:
-        parser.error(f"--n-max must be >= 0, got {args.n_max}")
-    with _destination(args.output, parser) as fh:
+        raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
+    with _destination(args.output) as fh:
         rows = stirling.triangle_rows(args.family, args.s, args.n_max)
         if args.format == "text":
             for row in rows:
@@ -150,30 +150,31 @@ def _cmd_table(args, parser) -> int:
     return 0
 
 
-def _parse_vars(raw: str, parser):
+def _parse_vars(raw: str):
     if raw.startswith("symbolic:"):
         try:
             n = int(raw.split(":", 1)[1])
         except ValueError:
-            parser.error(f"bad symbolic variable count in {raw!r}")
+            raise ValueError(f"bad symbolic variable count in {raw!r}") from None
         if n < 0:
-            parser.error(f"symbolic variable count must be >= 0, got {n}")
+            raise ValueError(f"symbolic variable count must be >= 0, got {n}")
         return n, None
     try:
         point = tuple(int(tok) for tok in raw.split(","))
     except ValueError:
-        parser.error(f"--vars must be comma-separated integers, got {raw!r}")
+        msg = f"--vars must be comma-separated integers, got {raw!r}"
+        raise ValueError(msg) from None
     return len(point), point
 
 
-def _cmd_eval(args, parser) -> int:
-    n, point = _parse_vars(args.vars, parser)
+def _cmd_eval(args) -> int:
+    n, point = _parse_vars(args.vars)
     params = {"function": args.function, "n": n, "k": args.k, "s": args.s}
     if args.function == "Ml":
         params["ell"] = args.ell
-    with _destination(args.output, parser) as fh:
+    with _destination(args.output) as fh:
         if args.function == "Ml" and args.ell is None:
-            parser.error("--ell is required for --function Ml")
+            raise ValueError("--ell is required for --function Ml")
         # e is E and h is M at s = 1, and only Ml reads ell
         s = args.s if args.function in ("M", "E", "Ml") else 1
         ell = args.ell if args.function == "Ml" else 1
@@ -204,19 +205,19 @@ def _cmd_eval(args, parser) -> int:
     return 0
 
 
-def _require(parser, args, names):
+def _require(args, names):
     missing = [f"--{n}" for n in names if getattr(args, n.replace("-", "_")) is None]
     if missing:
-        parser.error(f"family {args.family!r} requires {', '.join(missing)}")
+        raise ValueError(f"family {args.family!r} requires {', '.join(missing)}")
 
 
-def _enum_stream(args, parser):
+def _enum_stream(args):
     # (objects, text form, JSON form); _cmd_enumerate builds only the one asked
     # for.  The generators are looked up on the module at call time, so that a
     # wrapper bound over enumeration.gen_* (the perfbench tracer) sees the call.
     fam = args.family
     if fam in ("paths", "tilings"):
-        _require(parser, args, ("n", "k", "s"))
+        _require(args, ("n", "k", "s"))
         if fam == "paths":
             gen, key = enumeration.gen_lattice_paths(args.n, args.k, args.s), "steps"
         else:
@@ -227,7 +228,7 @@ def _enum_stream(args, parser):
             lambda o: {key: str(o), "weight": str(o.weight())},
         )
     if fam == "perms":
-        _require(parser, args, ("n", "k"))
+        _require(args, ("n", "k"))
         gen = enumeration.gen_cycle_perms(args.n, args.k)
         return (
             gen,
@@ -235,7 +236,7 @@ def _enum_stream(args, parser):
             lambda o: {"cycles": [list(c) for c in o.cycles], "text": str(o)},
         )
     if fam == "nested-tuples":
-        _require(parser, args, ("n", "k", "s"))
+        _require(args, ("n", "k", "s"))
         gen = enumeration.gen_nested_tuples(args.n, args.k, args.s)
         return (
             gen,
@@ -243,26 +244,26 @@ def _enum_stream(args, parser):
             lambda o: {"perms": [str(cp) for cp in o]},
         )
     if fam == "partitions":
-        _require(parser, args, ("n", "k"))
+        _require(args, ("n", "k"))
         gen = enumeration.gen_set_partitions(args.n, args.k)
     elif fam == "partitions-mod":
-        _require(parser, args, ("n", "k", "s"))
+        _require(args, ("n", "k", "s"))
         gen = enumeration.gen_partitions_mod(args.n, args.k, args.s)
     else:  # partitions-bounded
-        _require(parser, args, ("board", "blocks", "s"))
+        _require(args, ("board", "blocks", "s"))
         gen = enumeration.gen_partitions_bounded(args.board, args.blocks, args.s)
     return gen, str, lambda o: {"blocks": [list(b) for b in o.blocks], "text": str(o)}
 
 
-def _cmd_enumerate(args, parser) -> int:
-    gen, as_text, as_json = _enum_stream(args, parser)
+def _cmd_enumerate(args) -> int:
+    gen, as_text, as_json = _enum_stream(args)
     params = {
         key: getattr(args, key)
         for key in ("n", "k", "s", "board", "blocks")
         if getattr(args, key) is not None
     }
     count = 0
-    with _destination(args.output, parser) as fh:
+    with _destination(args.output) as fh:
         if args.format == "text":
             for obj in gen:
                 fh.write(as_text(obj) + "\n")
@@ -282,21 +283,22 @@ def _cmd_enumerate(args, parser) -> int:
     return 0
 
 
-def _parse_p_list(raw: str | None, parser):
+def _parse_p_list(raw: str | None):
     if raw is None:
         return None
     try:
         return tuple(int(tok) for tok in raw.split(","))
     except ValueError:
-        parser.error(f"--p-list must be comma-separated integers, got {raw!r}")
+        msg = f"--p-list must be comma-separated integers, got {raw!r}"
+        raise ValueError(msg) from None
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     fields = {
         "n_max": args.n_max,
         "k_max": args.k_max,
         "s_max": args.s_max,
-        "p_list": _parse_p_list(args.p_list, parser),
+        "p_list": _parse_p_list(args.p_list),
         "ell": args.ell,
         "board_max": args.board_max,
     }
@@ -305,7 +307,7 @@ def _cmd_verify(args, parser) -> int:
         if any(v is not None for v in fields.values())
         else None
     )
-    with _destination(args.output, parser) as fh:
+    with _destination(args.output) as fh:
         if args.seed_check:
             reports = identities.mutation_selftest()
             _json_dump([r.to_json_obj() for r in reports], fh)
@@ -327,12 +329,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "table":
-            return _cmd_table(args, parser)
+            return _cmd_table(args)
         if args.command == "eval":
-            return _cmd_eval(args, parser)
+            return _cmd_eval(args)
         if args.command == "enumerate":
-            return _cmd_enumerate(args, parser)
-        return _cmd_verify(args, parser)
+            return _cmd_enumerate(args)
+        return _cmd_verify(args)
     except ValueError as exc:
         parser.error(str(exc))
     except BrokenPipeError:

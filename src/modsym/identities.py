@@ -7,14 +7,16 @@ is catalogued here under a stable id.  ``verify`` checks one identity over a
 parameter grid and reports pass/fail/skip totals with the failing cells in
 grid order; ``verify_all`` sweeps the whole catalog under a bounds profile.
 
-Each cell checker returns the two sides of its identity (integers or
-canonical polynomials); the cell runner alone compares them, by exact
-equality with no tolerances, and serializes them.  Cells whose preconditions
-fail (even s for the odd-s vanishing identity, gcd(ell, s+1) > 1 for the
-residue-ell expansion, and off the grids n < 1 for S1MOD_REC and k < 1 for
-EVANISH) are counted as skipped, never as failures.  An index that may fall
-outside a memoised row, column or series is read through ``symfun._entry``:
-entry i, or 0 outside it, from a sequence grown to depth max(i, grid bound).
+Each cell checker takes the memo, the grid bounds and its cell by name, as
+``check(ctx, r, **cell)`` with the keys the grid yields (n, k, s, m, p or
+ell), and returns the two sides of its identity (integers or canonical
+polynomials); the cell runner alone compares them, by exact equality with no
+tolerances, and serializes them.  Cells whose preconditions fail (even s for
+the odd-s vanishing identity, gcd(ell, s+1) > 1 for the residue-ell
+expansion, and off the grids n < 1 for S1MOD_REC and k < 1 for EVANISH) are
+counted as skipped, never as failures.  An index that may fall outside a
+memoised row, column or series is read through ``symfun._entry``: entry i,
+or 0 outside it, from a sequence grown to depth max(i, grid bound).
 
 ``mutation_selftest`` reruns five catalog checkers, each with one keyword
 hook (a constant whose default is the true value) changed; each must fail
@@ -39,15 +41,13 @@ from dataclasses import dataclass, replace
 from functools import partial
 from math import gcd
 
-from modsym import stirling, symfun
+from modsym import enumeration, stirling, symfun
 from modsym.enumeration import (
     count_equal_minset_tuples,
     count_nested_minset_tuples,
     count_partitions_bounded,
     count_partitions_mod,
     count_partitions_zeromod,
-    gen_lattice_paths,
-    gen_tilings,
 )
 from modsym.polycore import Polynomial
 from modsym.stirling import (
@@ -288,18 +288,16 @@ class _Skip(Exception):
         self.reason = reason
 
 
-def _check_gf_m(ctx: _Ctx, p: dict, r: Ranges):
+def _check_gf_m(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
     # the series against the recurrence route, which no other identity reads;
     # one row per (n, s) holds every k of the column
-    n, k, s = p["n"], p["k"], p["s"]
     depth = max(k, r.k_max)
     lhs = _entry(ctx(modular_series, n, s, depth).coeffs, k)
     rhs = _entry(ctx(symfun._modular_rec, n, depth, s), k)
     return lhs, rhs
 
 
-def _check_rec3(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_rec3(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
     x_n = Polynomial.variable(n)
     rhs = Polynomial.zero()
     for j in _residue_parts(k, s, 1):
@@ -308,8 +306,7 @@ def _check_rec3(ctx: _Ctx, p: dict, r: Ranges):
     return lhs, rhs
 
 
-def _check_rec4(ctx: _Ctx, p: dict, r: Ranges, cross: int = 1):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_rec4(ctx: _Ctx, r: Ranges, n: int, k: int, s: int, cross: int = 1):
     if k < s + 1:
         raise _Skip("requires k >= s+1")
     x_n = Polynomial.variable(n)
@@ -329,14 +326,15 @@ def _weight_sum(objects) -> Polynomial:
     return total
 
 
-def _check_weight_sum(gen: Callable, ctx: _Ctx, p: dict):
-    lhs = _weight_sum(gen(p["n"], p["k"], p["s"]))
-    rhs = ctx(modular_sym, p["n"], p["k"], p["s"])
+def _check_weight_sum(gen: str, ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
+    # the generator is looked up by name at call time, as _Ctx's call sites
+    # are, so that a rebinding of enumeration.gen_* (a tracer) sees the call
+    lhs = _weight_sum(getattr(enumeration, gen)(n, k, s))
+    rhs = ctx(modular_sym, n, k, s)
     return lhs, rhs
 
 
-def _check_allones(ctx: _Ctx, p: dict, r: Ranges, shift: int = 0):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_allones(ctx: _Ctx, r: Ranges, n: int, k: int, s: int, shift: int = 0):
     lhs = modular_all_ones(n, k, s, _shift=shift)
     rhs = ctx(modular_sym, n, k, s).evaluate((1,) * n)
     return lhs, rhs
@@ -350,15 +348,13 @@ def _s2spec_or_zero(ctx: _Ctx, r: Ranges, n: int, k: int, s: int) -> int:
     return column[n - k]
 
 
-def _check_s2mod_spec(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_s2mod_spec(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
     lhs = _s2spec_or_zero(ctx, r, n, k, s)
     rhs = stirling2_mod(n, k, s, "recurrence")
     return lhs, rhs
 
 
-def _check_s2mod_rec(ctx: _Ctx, p: dict, r: Ranges, lift: int = 1):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_s2mod_rec(ctx: _Ctx, r: Ranges, n: int, k: int, s: int, lift: int = 1):
     if n - k < s + 1:
         raise _Skip("requires n-k >= s+1")
     lhs = _s2spec_or_zero(ctx, r, n, k, s)
@@ -377,8 +373,7 @@ def _grid_s2mod_gf(r: Ranges) -> Iterator[dict]:
                 yield {"k": k, "s": s, "m": m}
 
 
-def _check_s2mod_gf(ctx: _Ctx, p: dict, r: Ranges, linear: bool = True):
-    k, s, m = p["k"], p["s"], p["m"]
+def _check_s2mod_gf(ctx: _Ctx, r: Ranges, k: int, s: int, m: int, linear: bool = True):
     numerator = 1 if linear else s
     series = ctx(stirling2_mod_series, k, s, max(m, r.n_max), _numerator=numerator)
     lhs = _entry(series, m)
@@ -386,15 +381,13 @@ def _check_s2mod_gf(ctx: _Ctx, p: dict, r: Ranges, linear: bool = True):
     return lhs, rhs
 
 
-def _check_part_mod(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_part_mod(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
     lhs = count_partitions_mod(n, k, s)
     rhs = stirling2_mod(n, k, s, "recurrence")
     return lhs, rhs
 
 
-def _check_part_zero(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_part_zero(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
     if (n - k) % (s + 1):
         raise _Skip("requires s+1 to divide n-k")
     lhs = count_partitions_zeromod(n, k, s)
@@ -402,8 +395,7 @@ def _check_part_zero(ctx: _Ctx, p: dict, r: Ranges):
     return lhs, rhs
 
 
-def _check_ps1(ctx: _Ctx, p: dict, r: Ranges, shift: int = 0):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_ps1(ctx: _Ctx, r: Ranges, n: int, k: int, s: int, shift: int = 0):
     lhs = stirling2_mod(n + k, n, s, "recurrence")
     rhs = ps1_rhs(n, k, s, _shift=shift)
     return lhs, rhs
@@ -422,12 +414,11 @@ def _is_prime(p: int) -> bool:
     return all(p % d for d in range(2, int(p**0.5) + 1))
 
 
-def _check_fermat(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, prime = p["n"], p["k"], p["p"]
-    if not _is_prime(prime):
+def _check_fermat(ctx: _Ctx, r: Ranges, n: int, k: int, p: int):
+    if not _is_prime(p):
         raise _Skip("requires prime p")
-    lhs = stirling2_mod(n + k, n, prime - 1, "recurrence") % prime
-    rhs = fermat_rhs(n, k, prime) % prime
+    lhs = stirling2_mod(n + k, n, p - 1, "recurrence") % p
+    rhs = fermat_rhs(n, k, p) % p
     return lhs, rhs
 
 
@@ -442,8 +433,7 @@ def _grid_lmod(r: Ranges) -> Iterator[dict]:
                     yield {"n": n, "k": k, "s": s, "ell": ell}
 
 
-def _check_lmod(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s, ell = p["n"], p["k"], p["s"], p["ell"]
+def _check_lmod(ctx: _Ctx, r: Ranges, n: int, k: int, s: int, ell: int):
     if gcd(ell, s + 1) != 1:
         raise _Skip("requires gcd(ell, s+1) = 1")
     lhs = lmodular_sym(n, k, s, ell).evaluate(tuple(range(1, n + 1)))
@@ -458,8 +448,7 @@ def _alternating_sum(terms: Iterable[Polynomial]) -> Polynomial:
     return total
 
 
-def _check_evanish(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_evanish(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
     if s % 2 == 0:
         raise _Skip("requires odd s")
     if k < 1:
@@ -471,16 +460,14 @@ def _check_evanish(ctx: _Ctx, p: dict, r: Ranges):
     return total, 0
 
 
-def _check_conv_he(ctx: _Ctx, p: dict, r: Ranges, powered: bool = True):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_conv_he(ctx: _Ctx, r: Ranges, n: int, k: int, s: int, powered: bool = True):
     lhs = ctx(modular_sym, n, k, s)
     rhs = _modular_conv(n, k, s, s + 1 if powered else 1)
     return lhs, rhs
 
 
-def _check_inv_h(ctx: _Ctx, p: dict, r: Ranges, lift: int = 1):
+def _check_inv_h(ctx: _Ctx, r: Ranges, n: int, k: int, s: int, lift: int = 1):
     # h_k(x^(s+lift)) = sum_j (-1)^j h_j M_{k(s+1)-j}^(s)
-    n, k, s = p["n"], p["k"], p["s"]
     lhs = ctx(comp_sym, n, k).substitute_power(s + lift)
     rhs = _alternating_sum(
         ctx(comp_sym, n, j) * ctx(modular_sym, n, k * (s + 1) - j, s)
@@ -489,9 +476,8 @@ def _check_inv_h(ctx: _Ctx, p: dict, r: Ranges, lift: int = 1):
     return lhs, rhs
 
 
-def _check_inv_e(ctx: _Ctx, p: dict, r: Ranges, powered: bool = True):
+def _check_inv_e(ctx: _Ctx, r: Ranges, n: int, k: int, s: int, powered: bool = True):
     # e_k = sum_j (-1)^j e_j(x^(s+1)) M_{k-j(s+1)}^(s), or e_j(x) unpowered
-    n, k, s = p["n"], p["k"], p["s"]
     lhs = ctx(elem_sym, n, k)
     rhs = _alternating_sum(
         ctx(elem_sym, n, j).substitute_power(s + 1 if powered else 1)
@@ -501,8 +487,7 @@ def _check_inv_e(ctx: _Ctx, p: dict, r: Ranges, powered: bool = True):
     return lhs, rhs
 
 
-def _check_inv_zero(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_inv_zero(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
     if k % (s + 1) == 0:
         raise _Skip("requires k not divisible by s+1")
     total = _alternating_sum(
@@ -511,8 +496,7 @@ def _check_inv_zero(ctx: _Ctx, p: dict, r: Ranges):
     return total, 0
 
 
-def _check_eh_me(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_eh_me(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
     lhs = Polynomial.zero()
     rhs = Polynomial.zero()
     for j in range(k + 1):
@@ -542,8 +526,7 @@ def _scaled_reciprocal_eval(E_poly: Polynomial, n: int, s: int) -> int:
     return total
 
 
-def _check_s1mod_def(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_s1mod_def(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
     direct = stirling1_mod(n + 1, k + 1, s)
     scaled = _scaled_reciprocal_eval(ctx(bounded_elem_sym, n, k, s), n, s)
     mirrored = ctx(bounded_elem_sym, n, n * s - k, s).evaluate(tuple(range(1, n + 1)))
@@ -570,8 +553,7 @@ def _s1rec_or_zero(ctx: _Ctx, r: Ranges, n: int, k: int, s: int) -> int:
     return _entry(rows[n], k)
 
 
-def _check_s1mod_rec(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_s1mod_rec(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
     if n < 1:
         raise _Skip("requires n >= 1")
     lhs = _s1rec_or_zero(ctx, r, n, k, s)
@@ -587,29 +569,25 @@ def _grid_s1mod_part(r: Ranges) -> Iterator[dict]:
     )
 
 
-def _check_s1mod_part(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_s1mod_part(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
     lhs = count_partitions_bounded(n * (s + 1) - k, n, s)
     rhs = stirling1_mod(n + 1, k + 1, s)
     return lhs, rhs
 
 
-def _check_nested(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_nested(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
     lhs = count_nested_minset_tuples(n, k, s)
     rhs = _s1rec_or_zero(ctx, r, n, k, s)
     return lhs, rhs
 
 
-def _check_higher_rec(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_higher_rec(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
     lhs = count_equal_minset_tuples(n, k, s)
     rhs = stirling1_higher(n, k, s)
     return lhs, rhs
 
 
-def _check_omega(ctx: _Ctx, p: dict, r: Ranges):
-    n, k, s = p["n"], p["k"], p["s"]
+def _check_omega(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
     lhs = ctx(omega_poly, n, s).coefficient((k,))
     rhs = stirling1_higher(n, k, s)
     return lhs, rhs
@@ -711,11 +689,18 @@ def _erratum_report(key: str, row: _Erratum) -> dict:
 
 @dataclass(frozen=True)
 class _Identity:
-    info: IdentityInfo
+    id: str
+    anchor: str
+    parameters: tuple[str, ...]
     grid: Callable[[Ranges], Iterable[dict]]
-    check: Callable[[_Ctx, dict, Ranges], tuple[object, object]]
+    check: Callable[..., tuple[object, object]]  # (ctx, ranges, **cell)
     quick: Ranges  # per-identity bounds of the two profiles
     full: Ranges
+    note: str | None = None
+
+    @property
+    def info(self) -> IdentityInfo:
+        return IdentityInfo(self.id, self.anchor, self.parameters, self.note)
 
 
 def _hooked(key: str, **hooks) -> _Identity:
@@ -728,323 +713,271 @@ def _hooked(key: str, **hooks) -> _Identity:
 def _make_catalog() -> dict[str, _Identity]:
     entries = [
         _Identity(
-            IdentityInfo(
-                "GF_M",
-                "series identity: sum_k M_k^(s)(n) t^k = "
-                "prod_{i<=n} (1+x_i t)/(1-(x_i t)^(s+1))",
-                ("n", "k", "s"),
-            ),
+            "GF_M",
+            "series identity: sum_k M_k^(s)(n) t^k = "
+            "prod_{i<=n} (1+x_i t)/(1-(x_i t)^(s+1))",
+            ("n", "k", "s"),
             _grid_nks,
             _check_gf_m,
             Ranges(n_max=3, k_max=6, s_max=2),
             Ranges(n_max=5, k_max=10, s_max=3),
         ),
         _Identity(
-            IdentityInfo(
-                "REC3",
-                "variable-count recurrence: M_k^(s)(n) = "
-                "sum_{j=0,1 mod s+1} x_n^j M_{k-j}^(s)(n-1)",
-                ("n", "k", "s"),
-            ),
+            "REC3",
+            "variable-count recurrence: M_k^(s)(n) = "
+            "sum_{j=0,1 mod s+1} x_n^j M_{k-j}^(s)(n-1)",
+            ("n", "k", "s"),
             lambda r: _grid_nks(r, n_lo=1),
             _check_rec3,
             Ranges(n_max=3, k_max=6, s_max=2),
             Ranges(n_max=8, k_max=8, s_max=4),
         ),
         _Identity(
-            IdentityInfo(
-                "REC4",
-                "two-term peel for k >= s+1: M_k^(s)(n) = x_n^(s+1) "
-                "M_{k-s-1}^(s)(n) + x_n M_{k-1}^(s)(n-1) + M_k^(s)(n-1)",
-                ("n", "k", "s"),
-            ),
+            "REC4",
+            "two-term peel for k >= s+1: M_k^(s)(n) = x_n^(s+1) "
+            "M_{k-s-1}^(s)(n) + x_n M_{k-1}^(s)(n-1) + M_k^(s)(n-1)",
+            ("n", "k", "s"),
             lambda r: _grid_nks(r, n_lo=1),
             _check_rec4,
             Ranges(n_max=3, k_max=6, s_max=2),
             Ranges(n_max=8, k_max=8, s_max=4),
         ),
         _Identity(
-            IdentityInfo(
-                "PATHS",
-                "weight sum over admissible lattice paths equals M_k^(s)(n)",
-                ("n", "k", "s"),
-            ),
+            "PATHS",
+            "weight sum over admissible lattice paths equals M_k^(s)(n)",
+            ("n", "k", "s"),
             lambda r: _grid_nks(r, n_lo=1),
-            lambda ctx, p, r: _check_weight_sum(gen_lattice_paths, ctx, p),
+            partial(_check_weight_sum, "gen_lattice_paths"),
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=4, k_max=8, s_max=3),
         ),
         _Identity(
-            IdentityInfo(
-                "TILINGS",
-                "weight sum over admissible tilings equals M_k^(s)(n)",
-                ("n", "k", "s"),
-            ),
+            "TILINGS",
+            "weight sum over admissible tilings equals M_k^(s)(n)",
+            ("n", "k", "s"),
             lambda r: _grid_nks(r, n_lo=1),
-            lambda ctx, p, r: _check_weight_sum(gen_tilings, ctx, p),
+            partial(_check_weight_sum, "gen_tilings"),
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=4, k_max=8, s_max=3),
         ),
         _Identity(
-            IdentityInfo(
-                "ALLONES",
-                "all-ones evaluation: M_k^(s)(1..1) = "
-                "sum_j C(n, k-j(s+1)) C(j+n-1, n-1)",
-                ("n", "k", "s"),
-            ),
+            "ALLONES",
+            "all-ones evaluation: M_k^(s)(1..1) = "
+            "sum_j C(n, k-j(s+1)) C(j+n-1, n-1)",
+            ("n", "k", "s"),
             lambda r: _grid_nks(r, n_lo=1),
             _check_allones,
             Ranges(n_max=4, k_max=6, s_max=2),
             Ranges(n_max=6, k_max=12, s_max=4),
         ),
         _Identity(
-            IdentityInfo(
-                "S2MOD_SPEC",
-                "triangle from specialization: {n,k}^(s) = M_{n-k}^(s)(1..k); "
-                "polynomial-evaluation and recurrence routes agree",
-                ("n", "k", "s"),
-            ),
+            "S2MOD_SPEC",
+            "triangle from specialization: {n,k}^(s) = M_{n-k}^(s)(1..k); "
+            "polynomial-evaluation and recurrence routes agree",
+            ("n", "k", "s"),
             _grid_triangle,
             _check_s2mod_spec,
             Ranges(n_max=8, s_max=2),
             Ranges(n_max=20, s_max=4),
         ),
         _Identity(
-            IdentityInfo(
-                "S2MOD_REC",
-                "triangle recurrence for n-k >= s+1: {n,k}^(s) = {n-1,k-1}^(s) "
-                "+ k {n-2,k-1}^(s) + k^(s+1) {n-s-1,k}^(s)",
-                ("n", "k", "s"),
-            ),
+            "S2MOD_REC",
+            "triangle recurrence for n-k >= s+1: {n,k}^(s) = {n-1,k-1}^(s) "
+            "+ k {n-2,k-1}^(s) + k^(s+1) {n-s-1,k}^(s)",
+            ("n", "k", "s"),
             lambda r: _grid_triangle(r, k_lo=1),
             _check_s2mod_rec,
             Ranges(n_max=8, s_max=2),
             Ranges(n_max=20, s_max=4),
         ),
         _Identity(
-            IdentityInfo(
-                "S2MOD_GF",
-                "column series: sum_m {k+m,k}^(s) x^m = "
-                "prod_{r<=k} (1+r x)/(1-(r x)^(s+1)), corrected numerator",
-                ("k", "s", "m"),
-            ),
+            "S2MOD_GF",
+            "column series: sum_m {k+m,k}^(s) x^m = "
+            "prod_{r<=k} (1+r x)/(1-(r x)^(s+1)), corrected numerator",
+            ("k", "s", "m"),
             _grid_s2mod_gf,
             _check_s2mod_gf,
             Ranges(n_max=8, k_max=3, s_max=2),
             Ranges(n_max=20, k_max=6, s_max=4),
         ),
         _Identity(
-            IdentityInfo(
-                "PART_MOD",
-                "partitions with d_i = 0,1 mod s+1 are counted by {n,k}^(s)",
-                ("n", "k", "s"),
-            ),
+            "PART_MOD",
+            "partitions with d_i = 0,1 mod s+1 are counted by {n,k}^(s)",
+            ("n", "k", "s"),
             lambda r: _grid_triangle(r, k_lo=1),
             _check_part_mod,
             Ranges(n_max=6, s_max=2),
             Ranges(n_max=10, s_max=4),
         ),
         _Identity(
-            IdentityInfo(
-                "PART_ZERO",
-                "partitions with all d_i = 0 mod s+1 are counted by "
-                "h_{(n-k)/(s+1)}(1^(s+1)..k^(s+1))",
-                ("n", "k", "s"),
-            ),
+            "PART_ZERO",
+            "partitions with all d_i = 0 mod s+1 are counted by "
+            "h_{(n-k)/(s+1)}(1^(s+1)..k^(s+1))",
+            ("n", "k", "s"),
             lambda r: _grid_triangle(r, k_lo=1),
             _check_part_zero,
             Ranges(n_max=6, s_max=2),
             Ranges(n_max=10, s_max=4),
         ),
         _Identity(
-            IdentityInfo(
-                "PS1",
-                "first-kind expansion: {n+k,n}^(s) = sum_i "
-                "h_{floor(k/(s+1))-i}(1^(s+1)..n^(s+1)) [n+1, n+1-r-i(s+1)], "
-                "r = k mod s+1",
-                ("n", "k", "s"),
-            ),
+            "PS1",
+            "first-kind expansion: {n+k,n}^(s) = sum_i "
+            "h_{floor(k/(s+1))-i}(1^(s+1)..n^(s+1)) [n+1, n+1-r-i(s+1)], "
+            "r = k mod s+1",
+            ("n", "k", "s"),
             _grid_nks,
             _check_ps1,
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=5, k_max=10, s_max=4),
         ),
         _Identity(
-            IdentityInfo(
-                "FERMAT",
-                "prime congruence: {n+k,n}^(p-1) = sum_i {n+floor(k/p)-i, n} "
-                "[n+1, n+1-(r+ip)] mod p",
-                ("n", "k", "p"),
-            ),
+            "FERMAT",
+            "prime congruence: {n+k,n}^(p-1) = sum_i {n+floor(k/p)-i, n} "
+            "[n+1, n+1-(r+ip)] mod p",
+            ("n", "k", "p"),
             _grid_fermat,
             _check_fermat,
             Ranges(n_max=3, k_max=5, p_list=(2, 3)),
             Ranges(n_max=5, k_max=10, p_list=(2, 3, 5)),
         ),
         _Identity(
-            IdentityInfo(
-                "LMOD",
-                "residue-ell expansion of M_k^(s,ell)(1..n) via h at powered "
-                "points and level-ell first-kind brackets",
-                ("n", "k", "s", "ell"),
-                note=(
-                    "interpretation: the bracket factor is read as the "
-                    "level-ell first-kind triangle (x^k coefficients of "
-                    "x(x+1^ell)(x+2^ell)...); a failure here would point at "
-                    "that reading rather than an arithmetic bug"
-                ),
-            ),
+            "LMOD",
+            "residue-ell expansion of M_k^(s,ell)(1..n) via h at powered "
+            "points and level-ell first-kind brackets",
+            ("n", "k", "s", "ell"),
             _grid_lmod,
             _check_lmod,
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=4, k_max=8, s_max=4),
+            note=(
+                "interpretation: the bracket factor is read as the "
+                "level-ell first-kind triangle (x^k coefficients of "
+                "x(x+1^ell)(x+2^ell)...); a failure here would point at "
+                "that reading rather than an arithmetic bug"
+            ),
         ),
         _Identity(
-            IdentityInfo(
-                "EVANISH",
-                "odd-s alternating convolution: "
-                "sum_i (-1)^i E_i^(s) M_{k-i}^(s) = 0",
-                ("n", "k", "s"),
-            ),
+            "EVANISH",
+            "odd-s alternating convolution: "
+            "sum_i (-1)^i E_i^(s) M_{k-i}^(s) = 0",
+            ("n", "k", "s"),
             lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_evanish,
             Ranges(n_max=2, k_max=4, s_max=2),
             Ranges(n_max=3, k_max=6, s_max=4),
         ),
         _Identity(
-            IdentityInfo(
-                "CONV_HE",
-                "convolution route: M_k^(s) = sum_j h_j(x^(s+1)) e_{k-(s+1)j}, "
-                "checked against direct enumeration",
-                ("n", "k", "s"),
-            ),
+            "CONV_HE",
+            "convolution route: M_k^(s) = sum_j h_j(x^(s+1)) e_{k-(s+1)j}, "
+            "checked against direct enumeration",
+            ("n", "k", "s"),
             lambda r: _grid_nks(r, n_lo=1),
             _check_conv_he,
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=8, k_max=8, s_max=4),
         ),
         _Identity(
-            IdentityInfo(
-                "INV_H",
-                "inverse pair: h_k(x^(s+1)) = sum_j (-1)^j h_j "
-                "M_{k(s+1)-j}^(s), corrected substitution power",
-                ("n", "k", "s"),
-            ),
+            "INV_H",
+            "inverse pair: h_k(x^(s+1)) = sum_j (-1)^j h_j "
+            "M_{k(s+1)-j}^(s), corrected substitution power",
+            ("n", "k", "s"),
             lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_inv_h,
             Ranges(n_max=2, k_max=3, s_max=2),
             Ranges(n_max=3, k_max=4, s_max=3),
         ),
         _Identity(
-            IdentityInfo(
-                "INV_E",
-                "inverse pair: e_k = sum_j (-1)^j e_j(x^(s+1)) "
-                "M_{k-j(s+1)}^(s), corrected powered e-factor",
-                ("n", "k", "s"),
-            ),
+            "INV_E",
+            "inverse pair: e_k = sum_j (-1)^j e_j(x^(s+1)) "
+            "M_{k-j(s+1)}^(s), corrected powered e-factor",
+            ("n", "k", "s"),
             lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_inv_e,
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=3, k_max=7, s_max=3),
         ),
         _Identity(
-            IdentityInfo(
-                "INV_ZERO",
-                "vanishing convolution: sum_j (-1)^j h_j M_{k-j}^(s) = 0 "
-                "for k not divisible by s+1",
-                ("n", "k", "s"),
-            ),
+            "INV_ZERO",
+            "vanishing convolution: sum_j (-1)^j h_j M_{k-j}^(s) = 0 "
+            "for k not divisible by s+1",
+            ("n", "k", "s"),
             lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_inv_zero,
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=3, k_max=7, s_max=3),
         ),
         _Identity(
-            IdentityInfo(
-                "EH_ME",
-                "full convolution match: sum_j e_j h_{k-j} = "
-                "sum_j M_j^(s) E_{k-j}^(s)",
-                ("n", "k", "s"),
-            ),
+            "EH_ME",
+            "full convolution match: sum_j e_j h_{k-j} = "
+            "sum_j M_j^(s) E_{k-j}^(s)",
+            ("n", "k", "s"),
             lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_eh_me,
             Ranges(n_max=2, k_max=4, s_max=2),
             Ranges(n_max=3, k_max=6, s_max=3),
         ),
         _Identity(
-            IdentityInfo(
-                "S1MOD_DEF",
-                "[n+1,k+1]^(s) equals the ((n)!)^s-scaled reciprocal "
-                "evaluation of E_k^(s) and the mirrored E_{ns-k}^(s)(1..n)",
-                ("n", "k", "s"),
-            ),
+            "S1MOD_DEF",
+            "[n+1,k+1]^(s) equals the ((n)!)^s-scaled reciprocal "
+            "evaluation of E_k^(s) and the mirrored E_{ns-k}^(s)(1..n)",
+            ("n", "k", "s"),
             _grid_s1mod_def,
             _check_s1mod_def,
             Ranges(n_max=4, s_max=2),
             Ranges(n_max=6, s_max=3),
         ),
         _Identity(
-            IdentityInfo(
-                "S1MOD_REC",
-                "order-s recurrence route for [n,k]^(s) agrees with the "
-                "bounded-E specialization route",
-                ("n", "k", "s"),
-            ),
+            "S1MOD_REC",
+            "order-s recurrence route for [n,k]^(s) agrees with the "
+            "bounded-E specialization route",
+            ("n", "k", "s"),
             _grid_s1mod_rec,
             _check_s1mod_rec,
             Ranges(n_max=5, s_max=2),
             Ranges(n_max=10, s_max=4),
         ),
         _Identity(
-            IdentityInfo(
-                "S1MOD_PART",
-                "partitions of a (n(s+1)-k)-board into n blocks with all "
-                "d_i <= s are counted by [n+1,k+1]^(s)",
-                ("n", "k", "s", "board"),
-            ),
+            "S1MOD_PART",
+            "partitions of a (n(s+1)-k)-board into n blocks with all "
+            "d_i <= s are counted by [n+1,k+1]^(s)",
+            ("n", "k", "s", "board"),
             _grid_s1mod_part,
             _check_s1mod_part,
             Ranges(n_max=3, s_max=2, board_max=8),
             Ranges(n_max=5, s_max=3, board_max=12),
         ),
         _Identity(
-            IdentityInfo(
-                "NESTED",
-                "nested min-set tuples with k+s-1 total cycles are counted "
-                "by [n,k]^(s)",
-                ("n", "k", "s"),
-            ),
+            "NESTED",
+            "nested min-set tuples with k+s-1 total cycles are counted "
+            "by [n,k]^(s)",
+            ("n", "k", "s"),
             lambda r: _grid_s1mod_rec(r, nested=True),
             _check_nested,
             Ranges(n_max=3, s_max=2),
             Ranges(n_max=4, s_max=3),
         ),
         _Identity(
-            IdentityInfo(
-                "HIGHER_REC",
-                "equal min-set s-tuples of k-cycle permutations are counted "
-                "by the level-s triangle [n,k]_s",
-                ("n", "k", "s"),
-            ),
+            "HIGHER_REC",
+            "equal min-set s-tuples of k-cycle permutations are counted "
+            "by the level-s triangle [n,k]_s",
+            ("n", "k", "s"),
             _grid_triangle,
             _check_higher_rec,
             Ranges(n_max=4, s_max=2),
             Ranges(n_max=5, s_max=3),
         ),
         _Identity(
-            IdentityInfo(
-                "OMEGA",
-                "x^k coefficients of x(x+1^s)(x+2^s)...(x+(n-1)^s) "
-                "equal [n,k]_s",
-                ("n", "k", "s"),
-            ),
+            "OMEGA",
+            "x^k coefficients of x(x+1^s)(x+2^s)...(x+(n-1)^s) "
+            "equal [n,k]_s",
+            ("n", "k", "s"),
             _grid_triangle,
             _check_omega,
             Ranges(n_max=5, s_max=2),
             Ranges(n_max=10, s_max=3),
         ),
     ]
-    return {e.info.id: e for e in entries}
+    return {e.id: e for e in entries}
 
 
 _CATALOG = _make_catalog()
@@ -1087,35 +1020,35 @@ def _run_cell(
     # the one place a cell is compared; its sides are serialized only when it
     # fails or ``keep_sides`` asks for them
     try:
-        lhs, rhs = ident.check(ctx, params, ranges)
+        lhs, rhs = ident.check(ctx, ranges, **params)
     except _Skip as skip:
-        return IdentityCase(ident.info.id, params, "", "", "skipped", skip.reason)
+        return IdentityCase(ident.id, params, "", "", "skipped", skip.reason)
     status = "pass" if lhs == rhs else "fail"
     if status == "pass" and not keep_sides:
-        return IdentityCase(ident.info.id, params, "", "", status)
-    return IdentityCase(ident.info.id, params, str(lhs), str(rhs), status)
+        return IdentityCase(ident.id, params, "", "", status)
+    return IdentityCase(ident.id, params, str(lhs), str(rhs), status)
 
 
 def _run_identity(ident: _Identity, ranges: Ranges, ctx: _Ctx) -> VerifyReport:
     cells = list(ident.grid(ranges))
     if not cells:
-        raise ValueError(f"empty parameter grid for {ident.info.id}")
+        raise ValueError(f"empty parameter grid for {ident.id}")
     results = [_run_cell(ident, ctx, p, ranges) for p in cells]
     passed = sum(1 for c in results if c.status == "pass")
     failed = [c for c in results if c.status == "fail"]
     skipped = sum(1 for c in results if c.status == "skipped")
-    key = ident.info.id
+    key = ident.id
     errata = [_erratum_report(key, _ERRATA[key])] if key in _ERRATA else []
     return VerifyReport(
-        identity=ident.info.id,
-        anchor=ident.info.anchor,
-        range=ranges.describe(ident.info.parameters),
+        identity=key,
+        anchor=ident.anchor,
+        range=ranges.describe(ident.parameters),
         passed=passed,
         failed=len(failed),
         skipped=skipped,
         failures=failed,
         errata=errata,
-        note=ident.info.note,
+        note=ident.note,
     )
 
 
@@ -1202,7 +1135,6 @@ def mutation_selftest() -> list[VerifyReport]:
     """
     reports = []
     for name, anchor, key, ranges, hooks in _MUTATIONS:
-        ident = _hooked(key, **hooks)
-        info = IdentityInfo(name, anchor, ident.info.parameters)
-        reports.append(_run_identity(replace(ident, info=info), ranges, _Ctx()))
+        ident = replace(_hooked(key, **hooks), id=name, anchor=anchor)
+        reports.append(_run_identity(ident, ranges, _Ctx()))
     return reports

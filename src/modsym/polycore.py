@@ -119,6 +119,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant hashes as the int it equals
+        if not self._terms.keys() - {()}:
+            return hash(self._terms.get((), 0))
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "Polynomial":

@@ -1,17 +1,23 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modsym
 from modsym import enumeration, identities, stirling, symfun
+from modsym import cli
 from modsym.cli import main
 
 
@@ -623,6 +629,88 @@ class TestParserReuse:
                 capture_output=True, text=True, env=env, timeout=60,
             )
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), line
+
+
+# Small values, and one draw in seven a malformed token, for every integer
+# flag; huge values are left out, since nothing yet refuses a request by its
+# cost.
+_INT_TOKENS = st.sampled_from(
+    [str(v) for v in range(-2, 4)] * 4 + ["", "x", "1.5", "symbolic:"]
+)
+_VARS = st.one_of(
+    _INT_TOKENS,
+    _INT_TOKENS.map("symbolic:".__add__),
+    st.lists(st.integers(-2, 3), max_size=3).map(lambda xs: ",".join(map(str, xs))),
+)
+_FORMATS = st.sampled_from(["text", "json"])
+
+
+def _names(known):
+    return st.sampled_from([*known, "unknown"])
+
+
+def _command(name, required, optional):
+    # the required flags are always given, each optional one is given or not
+    def flag(flag, value, given=True):
+        pair = value.map(lambda v: [f"--{flag}", v])
+        return pair if given else st.one_of(st.just([]), pair)
+
+    flags = [flag(f, v) for f, v in required.items()]
+    flags += [flag(f, v, False) for f, v in optional.items()]
+    return st.tuples(*flags).map(lambda pairs: [name, *sum(pairs, [])])
+
+
+_ARGVS = st.one_of(
+    _command(
+        "table",
+        {"family": _names(stirling.TRIANGLE_FAMILIES), "n-max": _INT_TOKENS},
+        {"s": _INT_TOKENS, "format": st.sampled_from(["text", "csv", "json"])},
+    ),
+    _command(
+        "eval",
+        {"function": _names(cli._EVAL_FUNCTIONS), "k": _INT_TOKENS, "vars": _VARS},
+        {"s": _INT_TOKENS, "ell": _INT_TOKENS, "format": _FORMATS},
+    ),
+    _command(
+        "enumerate",
+        {"family": _names(cli._ENUM_FAMILIES), "n": _INT_TOKENS, "k": _INT_TOKENS},
+        {"s": _INT_TOKENS, "board": _INT_TOKENS, "blocks": _INT_TOKENS,
+         "format": _FORMATS},
+    ),
+    # --n-max is always given, so that no draw sweeps a whole full profile
+    st.tuples(
+        _command(
+            "verify",
+            {"n-max": _INT_TOKENS},
+            {
+                "id": _names([i.id for i in identities.list_identities()] + ["all"]),
+                "profile": st.sampled_from(identities.PROFILES),
+                "k-max": _INT_TOKENS, "s-max": _INT_TOKENS, "ell": _INT_TOKENS,
+                "board-max": _INT_TOKENS, "p-list": _VARS,
+            },
+        ),
+        st.sampled_from([[], ["--seed-check"]]),
+    ).map(lambda t: t[0] + t[1]),
+)
+
+
+class TestSmallValueFuzz:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(argv=_ARGVS)
+    def test_exits_0_1_or_2_without_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code == 2:
+            # argparse names the subcommand in its own errors
+            last = err.splitlines()[-1]
+            assert re.match(r"modsym( [a-z]+)?: error: ", last), (argv, err)
 
 
 class TestDeterminism:

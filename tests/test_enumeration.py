@@ -1,4 +1,5 @@
-from itertools import permutations
+from itertools import permutations, product
+from math import prod
 
 import pytest
 
@@ -384,6 +385,32 @@ class TestPartitionsFromComposition:
             assert not (chunk & union)
             union |= chunk
         assert union == {str(p) for p in gen_set_partitions(n + k, n)}
+
+    @staticmethod
+    def _fibers(n, k, part_ok):
+        # the partitions of [n] into k blocks whose difference vector a has
+        # every part admissible, one composition of n-k at a time
+        out = []
+        for a in product(range(n - k + 1), repeat=k):
+            if sum(a) == n - k and all(map(part_ok, a)):
+                fiber = partitions_from_composition(a)
+                assert len(fiber) == prod(i**x for i, x in enumerate(a, 1)), a
+                out += fiber
+        return sorted(out, key=SetPartition.rgs)
+
+    def test_fibers_make_up_the_modular_family(self):
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                for s in range(1, 4):
+                    want = self._fibers(n, k, lambda d: d % (s + 1) <= 1)
+                    assert list(gen_partitions_mod(n, k, s)) == want, (n, k, s)
+
+    def test_fibers_make_up_the_bounded_family(self):
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                for s in range(3):
+                    want = self._fibers(n, k, lambda d: d <= s)
+                    assert list(gen_partitions_bounded(n, k, s)) == want, (n, k, s)
 
 
 class TestPathsAndTilings:

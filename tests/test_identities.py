@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import json
 
@@ -51,6 +52,19 @@ class TestCatalog:
     def test_lmod_carries_interpretation_note(self):
         info = next(i for i in list_identities() if i.id == "LMOD")
         assert info.note and "interpretation" in info.note
+
+    @pytest.mark.parametrize("key", EXPECTED_IDS)
+    def test_checker_takes_its_cell_by_name(self, key):
+        # the checker's parameters past (ctx, r), less its defaulted hooks,
+        # are the keys of the cells that its grid yields, in order
+        ident = identities._CATALOG[key]
+        names = [
+            name
+            for name, param in inspect.signature(ident.check).parameters.items()
+            if name not in ("ctx", "r") and param.default is param.empty
+        ]
+        for bounds in (ident.quick, ident.full):
+            assert list(next(iter(ident.grid(bounds)))) == names
 
     def test_profiles_cover_catalog(self):
         for info in list_identities():
@@ -261,7 +275,7 @@ class TestErrata:
     def test_erratum_runs_the_catalog_checker(self, monkeypatch, key):
         # a catalog checker whose printed variant passes leaves no failing cell
         agreeable = dataclasses.replace(
-            identities._CATALOG[key], check=lambda ctx, p, r, **hooks: (0, 0)
+            identities._CATALOG[key], check=lambda ctx, r, **cell: (0, 0)
         )
         monkeypatch.setitem(identities._CATALOG, key, agreeable)
         rep = verify(key, Ranges(n_max=1, k_max=1, s_max=1))
@@ -292,7 +306,7 @@ class TestMutations:
     def test_seed_check_sees_a_vacuous_checker(self, monkeypatch, capsys, key):
         # the self-test runs the catalog checker itself, not a copy of it
         vacuous = dataclasses.replace(
-            identities._CATALOG[key], check=lambda ctx, p, r, **kw: (0, 0)
+            identities._CATALOG[key], check=lambda ctx, r, **cell: (0, 0)
         )
         monkeypatch.setitem(identities._CATALOG, key, vacuous)
         assert main(["verify", "--seed-check"]) == 1

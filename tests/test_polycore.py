@@ -161,6 +161,17 @@ class TestPolynomial:
         assert Polynomial({(): 1}) == 1
 
 
+@given(a=polys, b=polys, c=st.integers(-9, 9))
+def test_equal_values_hash_equal(a, b, c):
+    assert hash(a + b + -b) == hash(a)
+    if not a.num_vars():
+        assert hash(a) == hash(a.terms.get((), 0))
+    # a constant equals its int, so the two are one key in a set or a dict
+    assert hash(Polynomial.constant(c)) == hash(c)
+    assert {c: "int"}.get(Polynomial.constant(c)) == "int"
+    assert len({c, Polynomial.constant(c)}) == 1
+
+
 @given(p=polys)
 def test_sorted_terms_is_padded_grlex(p):
     # reference: compare exponent vectors padded to one width
