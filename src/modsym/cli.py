@@ -86,10 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--output")
 
     p_verify = sub.add_parser("verify", help="check identities over a grid")
-    p_verify.add_argument("--id", default="all", help="catalog id or 'all'")
-    p_verify.add_argument(
-        "--profile", choices=identities.PROFILES, default="quick"
-    )
+    # None when not given, so that --seed-check can refuse them
+    p_verify.add_argument("--id", help="catalog id or 'all'")
+    p_verify.add_argument("--profile", choices=identities.PROFILES)
     p_verify.add_argument("--n-max", type=int)
     p_verify.add_argument("--k-max", type=int)
     p_verify.add_argument("--s-max", type=int)
@@ -307,16 +306,24 @@ def _cmd_verify(args) -> int:
         if any(v is not None for v in fields.values())
         else None
     )
+    if args.seed_check:
+        # the self-test runs each perturbed checker on its own fixed grid
+        given = [f for f in ("id", "profile", *fields) if getattr(args, f) is not None]
+        if given:
+            flags = ", ".join("--" + f.replace("_", "-") for f in given)
+            raise ValueError(f"--seed-check takes no {flags}")
+    ident = "all" if args.id is None else args.id
+    profile = args.profile or "quick"
     with _destination(args.output) as fh:
         if args.seed_check:
             reports = identities.mutation_selftest()
             _json_dump([r.to_json_obj() for r in reports], fh)
             return 0 if all(r.failed for r in reports) else 1
-        if args.id.lower() == "all":
-            reports = identities.verify_all(args.profile, ranges)
+        if ident.lower() == "all":
+            reports = identities.verify_all(profile, ranges)
             payload: object = [r.to_json_obj() for r in reports]
         else:
-            reports = [identities.verify(args.id, ranges, args.profile)]
+            reports = [identities.verify(ident, ranges, profile)]
             payload = reports[0].to_json_obj()
         _json_dump(payload, fh)
     return 1 if any(r.failed for r in reports) else 0

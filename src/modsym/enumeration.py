@@ -39,6 +39,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from itertools import chain, permutations, product
+from math import prod
 
 from modsym.polycore import Polynomial
 
@@ -378,30 +379,22 @@ def _check_path_args(n: int, k: int, s: int):
 def _gen_step_strings(n: int, k: int, s: int, horiz: str, vert: str) -> Iterator[str]:
     # Lexicographic over the step alphabet with horiz < vert.  A vertical
     # symbol (or the end of the string) closes the current horizontal run,
-    # which must have length 0 or 1 mod s+1.  The stack holds, per position,
-    # (horiz left, vert left, open run) and the letters left to try there.
+    # which must have length 0 or 1 mod s+1.  A stack entry is a prefix with
+    # the horiz and vert steps it leaves and its open run; the vert child is
+    # pushed before the horiz child, so the words pop in lexicographic order.
+    # Once one letter is used up the rest of the word is forced, and it is
+    # admissible when the run it leaves open is.
     step = s + 1
-    size = k + n - 1
-    buf = [horiz] * size
-    state, todo = [(k, n - 1, 0)] * (size + 1), [None] * (size + 1)
-    p = 0
-    while p >= 0:
-        h, v, run = state[p]
-        if p == size:
-            if run % step <= 1:
-                yield "".join(buf)
-            p -= 1
+    stack = [("", k, n - 1, 0)]
+    while stack:
+        word, h, v, run = stack.pop()
+        if not (h and v):
+            if (run + h) % step <= 1:
+                yield word + horiz * h + vert * v
             continue
-        if todo[p] is None:
-            todo[p] = iter(horiz * (h > 0) + vert * (v > 0 and run % step <= 1))
-        for c in todo[p]:
-            buf[p] = c
-            p += 1
-            state[p] = (h - 1, v, run + 1) if c == horiz else (h, v - 1, 0)
-            todo[p] = None
-            break
-        else:
-            p -= 1
+        if run % step <= 1:
+            stack.append((word + vert, h, v - 1, 0))
+        stack.append((word + horiz, h - 1, v, run + 1))
 
 
 def gen_lattice_paths(n: int, k: int, s: int) -> Iterator[LatticePath]:
@@ -546,24 +539,15 @@ def count_nested_minset_tuples(n: int, k: int, s: int) -> int:
     """s-tuples (p_1..p_s) of permutations of [n] with min-sets nested
     downward (min(p_i) inside min(p_{i-1})) and total minima count k+s-1.
 
-    One pass over the s entries counts tuple prefixes by (last min-set,
-    minima used), over the min-set classes of the enumerated permutations.
+    The nested walk goes over the min-set classes of the enumerated
+    permutations, and each chain it admits adds the product of its class
+    sizes.
     """
     target = _nested_target(n, k, s)
     if target is None:
         return 0
-    tally = _min_set_tally(n)
-    # [n] stands before the first entry, and each later entry keeps back
-    # one minimum at least
-    ways = Counter({(frozenset(range(1, n + 1)), 0): 1})
-    for depth in range(s):
-        cap = target - (s - depth - 1)
-        ways, prefixes = Counter(), ways
-        for (prev, used), w in prefixes.items():
-            for m, c in tally.items():
-                if m <= prev and used + len(m) <= cap:
-                    ways[m, used + len(m)] += w * c
-    return sum(w for (_, used), w in ways.items() if used == target)
+    classes = ((size, m) for m, size in _min_set_tally(n).items())
+    return sum(map(prod, _nested_walk(classes, n, target, s)))
 
 
 def gen_nested_tuples(
@@ -572,23 +556,28 @@ def gen_nested_tuples(
     """The tuples behind count_nested_minset_tuples, in lexicographic order
     of the one-line forms.  Exhaustive: intended for small n."""
     target = _nested_target(n, k, s)
-    return iter(()) if target is None else _nested_walk(n, target, s)
+    if target is None:
+        return iter(())
+    perms = ((c, _min_set(c)) for c in _all_cycle_perms(n))
+    return (tuple(map(CyclePermutation, t)) for t in _nested_walk(perms, n, target, s))
 
 
-def _nested_walk(n: int, target: int, s: int) -> Iterator[tuple[CyclePermutation, ...]]:
-    # The stack holds, per tuple entry, (last min-set, minima used) before
-    # it and the permutations left to try there.  [n] stands before the
-    # first entry, and each later entry keeps back one minimum at least.
-    perms = [(c, _min_set(c)) for c in _all_cycle_perms(n)]
+def _nested_walk(entries, n: int, target: int, s: int) -> Iterator[tuple]:
+    # The one nested admission rule, over (item, min-set) entries: the
+    # tuples of s items whose min-sets nest downward and hold target minima
+    # in all.  [n] stands before the first entry, and each later entry keeps
+    # back one minimum at least.  The stack holds, per tuple entry, (last
+    # min-set, minima used) before it and the entries left to try there.
+    entries = list(entries)
     chosen = [None] * s
     state = [(frozenset(range(1, n + 1)), 0)] * (s + 1)
-    todo = [iter(perms)] * (s + 1)
+    todo = [iter(entries)] * (s + 1)
     depth = 0
     while depth >= 0:
         prev, used = state[depth]
         if depth == s:
             if used == target:
-                yield tuple(map(CyclePermutation, chosen))
+                yield tuple(chosen)
             depth -= 1
             continue
         cap = target - (s - depth - 1)
@@ -596,7 +585,7 @@ def _nested_walk(n: int, target: int, s: int) -> Iterator[tuple[CyclePermutation
             if m <= prev and used + len(m) <= cap:
                 chosen[depth] = c
                 depth += 1
-                state[depth], todo[depth] = (m, used + len(m)), iter(perms)
+                state[depth], todo[depth] = (m, used + len(m)), iter(entries)
                 break
         else:
             depth -= 1

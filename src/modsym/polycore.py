@@ -155,6 +155,8 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other: int) -> "Polynomial":
+        if not isinstance(other, int):
+            return NotImplemented
         return Polynomial.constant(other) + (-self)
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":

@@ -27,7 +27,6 @@ All functions are pure.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -75,46 +74,33 @@ def _composition_poly(num_vars: int, degree: int, parts: Sequence[int]) -> Polyn
     """Sum of x^a over the compositions a of ``degree`` into ``num_vars`` parts.
 
     ``parts`` lists the admissible part values, ascending from 0 and at most
-    ``degree``, as ``stirling._point_sums`` takes them.  Parts are assigned to
-    the last variable first, on an explicit stack, so any number of variables
-    walks; each level tries the parts up to the degree it has left, and the
-    first variable takes the leftover degree when the ``ok`` table admits it,
-    so the walk never loops over the first variable.  Every composition is a
-    distinct exponent vector, so all coefficients are 1.
+    ``degree``, as ``stirling._point_sums`` takes them.  One explicit stack
+    holds prefixes (a_1, ..., a_j) with the degree they leave, so any number
+    of variables walks.  A prefix that reaches the degree is a finished term,
+    since every later part must be 0; its last part is nonzero, so the prefix
+    is already the trimmed exponent tuple.  The last variable takes the
+    degree that is left when ``ok`` admits it, so the walk never loops over
+    it.  Every composition is a distinct exponent vector, so all
+    coefficients are 1.
     """
     ok = [False] * (degree + 1)
     for a in parts:
         ok[a] = True
-    if num_vars == 0:
-        return Polynomial.one() if degree == 0 else Polynomial.zero()
-    if num_vars == 1:
-        return Polynomial.monomial((degree,)) if ok[degree] else Polynomial.zero()
+    last = num_vars - 1
     terms: dict = {}
-    buf = [0] * num_vars
-    # the stack, one slot per variable x_{i+1} down to x_2: the degree left
-    # for x_1..x_{i+1} and the part values still to try for x_{i+1}
-    left = [0] * num_vars
-    todo = [None] * num_vars
-    i = num_vars - 1
-    left[i] = degree
-    todo[i] = iter(parts)
-    while i < num_vars:
-        for a in todo[i]:
-            buf[i] = a
-            rest = left[i] - a
-            if i > 1:
-                i -= 1
-                left[i] = rest
-                todo[i] = iter(parts[: bisect_right(parts, rest)])
-                break
+    stack = [((), degree)]
+    while stack:
+        prefix, rest = stack.pop()
+        if not rest:
+            terms[prefix] = 1
+        elif len(prefix) == last:
             if ok[rest]:
-                buf[0] = rest
-                end = num_vars
-                while end and buf[end - 1] == 0:
-                    end -= 1
-                terms[tuple(buf[:end])] = 1
-        else:
-            i += 1
+                terms[prefix + (rest,)] = 1
+        elif len(prefix) < last:
+            for a in parts:
+                if a > rest:
+                    break
+                stack.append((prefix + (a,), rest - a))
     return Polynomial._raw(terms)
 
 

@@ -451,6 +451,26 @@ class TestVerify:
         assert len(reports) == 5
         assert all(r["fail"] >= 1 for r in reports)
 
+    @pytest.mark.parametrize("extra, named", [
+        (["--id", "REC3"], "--id"),
+        (["--id", "all"], "--id"),
+        (["--profile", "quick"], "--profile"),
+        (["--id", "nosuch", "--n-max", "-1", "--profile", "full"],
+         "--id, --profile, --n-max"),
+        (["--p-list", "4"], "--p-list"),
+        (["--board-max", "3"], "--board-max"),
+    ])
+    def test_seed_check_refuses_the_grid_flags(self, capsys, tmp_path, extra, named):
+        # the self-test runs fixed grids, so a flag it would ignore is refused
+        # before --output is opened
+        dest = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed-check", *extra, "--output", str(dest)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"modsym: error: --seed-check takes no {named}"
+        assert not dest.exists()
+
     def test_byte_identical_repeats(self, capsys):
         _, first = run_cli(
             capsys, "verify", "--id", "omega", "--n-max", "5", "--s-max", "2"

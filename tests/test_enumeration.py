@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations, product
 from math import prod
 
@@ -125,6 +126,33 @@ def _recursive_step_strings(n, k, s, horiz, vert):
     yield from rec(k, n - 1, 0)
 
 
+def _reference_step_strings(n, k, s, horiz, vert):
+    # The step-string walk before its stack held prefixes: per position,
+    # (horiz left, vert left, open run) and the letters left to try there.
+    step = s + 1
+    size = k + n - 1
+    buf = [horiz] * size
+    state, todo = [(k, n - 1, 0)] * (size + 1), [None] * (size + 1)
+    p = 0
+    while p >= 0:
+        h, v, run = state[p]
+        if p == size:
+            if run % step <= 1:
+                yield "".join(buf)
+            p -= 1
+            continue
+        if todo[p] is None:
+            todo[p] = iter(horiz * (h > 0) + vert * (v > 0 and run % step <= 1))
+        for c in todo[p]:
+            buf[p] = c
+            p += 1
+            state[p] = (h - 1, v, run + 1) if c == horiz else (h, v - 1, 0)
+            todo[p] = None
+            break
+        else:
+            p -= 1
+
+
 def _recursive_nested_tuples(n, k, s):
     # The nested-tuple walk before its explicit stack, one recursion per
     # tuple entry, yielding tuples of cycle tuples.
@@ -146,6 +174,24 @@ def _recursive_nested_tuples(n, k, s):
                 chosen.pop()
 
     yield from rec(0, [], frozenset(range(1, n + 1)), 0)
+
+
+def _reference_nested_count(n, k, s):
+    # The nested count before it read the nested walk: one pass over the s
+    # tuple entries, counting prefixes by (last min-set, minima used).
+    target = enumeration._nested_target(n, k, s)
+    if target is None:
+        return 0
+    tally = enumeration._min_set_tally(n)
+    ways = Counter({(frozenset(range(1, n + 1)), 0): 1})
+    for depth in range(s):
+        cap = target - (s - depth - 1)
+        ways, prefixes = Counter(), ways
+        for (prev, used), w in prefixes.items():
+            for m, c in tally.items():
+                if m <= prev and used + len(m) <= cap:
+                    ways[m, used + len(m)] += w * c
+    return sum(w for (_, used), w in ways.items() if used == target)
 
 
 def _filtered_families(s):
@@ -470,6 +516,20 @@ class TestPathsAndTilings:
                     cells = [t.cells for t in gen_tilings(n, k, s)]
                     assert cells == list(_recursive_step_strings(n, k, s, "B", "G"))
 
+    def test_words_match_the_reference_walk(self):
+        # as lists, so the order counts too; the long words in one alphabet
+        cells = [
+            (n, k, s, letters)
+            for n in range(1, 7)
+            for k in range(11)
+            for s in range(1, 4)
+            for letters in ("HV", "BG")
+        ]
+        for n, k, s, letters in cells + [(1, 1100, 1, "HV"), (1100, 1, 1, "HV")]:
+            got = list(enumeration._gen_step_strings(n, k, s, *letters))
+            want = list(_reference_step_strings(n, k, s, *letters))
+            assert got == want, (n, k, s, letters)
+
     def test_run_lengths_constraint(self):
         for t in gen_tilings(3, 5, 2):
             assert all(r % 3 <= 1 for r in t.run_lengths())
@@ -614,6 +674,13 @@ class TestMinSetTuples:
                     assert count_nested_minset_tuples(n, k, s) == stirling1_mod_rec(
                         n, k, s
                     )
+
+    def test_nested_count_matches_the_reference_pass(self):
+        for n in range(1, 6):
+            for s in range(1, 4):
+                for k in range(1 - s, n * s + 2):
+                    want = _reference_nested_count(n, k, s)
+                    assert count_nested_minset_tuples(n, k, s) == want, (n, k, s)
 
     def test_nested_generator_agrees_with_count(self):
         for n in range(1, 4):

@@ -2,10 +2,11 @@ import dataclasses
 import inspect
 import itertools
 import json
+import sys
 
 import pytest
 
-from modsym import enumeration, identities, stirling, symfun
+from modsym import enumeration, identities, polycore, stirling, symfun
 from modsym.cli import main
 from modsym.identities import (
     Ranges,
@@ -436,11 +437,48 @@ def _bump_series(product):
     return patched
 
 
-def _bump_composition(walk):
-    # the walk of degree 2 into 2 parts, whatever its parts list
-    def patched(num_vars, degree, parts):
-        out = walk(num_vars, degree, parts)
-        return out + _X1X2 if (num_vars, degree) == (2, 2) else out
+def _bump_two_by_two(route):
+    # the polynomial of degree 2 in 2 variables, whatever else the route takes
+    # (the parts list of the composition walk, s and the power of the
+    # convolution)
+    def patched(n, k, *rest):
+        out = route(n, k, *rest)
+        return out + _X1X2 if (n, k) == (2, 2) else out
+
+    return patched
+
+
+def _bump_step_strings(walk):
+    # the first path or tiling to (2, 1) at s = 1 twice
+    def patched(n, k, s, horiz, vert):
+        words = list(walk(n, k, s, horiz, vert))
+        yield from words + words[:1] * ((n, k, s) == (2, 2, 1))
+
+    return patched
+
+
+def _bump_rows_stirling2(rows):
+    # {3,2} of the classical triangle
+    def patched():
+        for n, row in enumerate(rows()):
+            yield row[:2] + [row[2] + 1] + row[3:] if n == 3 else row
+
+    return patched
+
+
+def _bump_all_ones(count):
+    # the all-ones count of M_2^(1) in 2 variables
+    def patched(n, k, s, *, _shift=0):
+        return count(n, k, s, _shift=_shift) + ((n, k, s) == (2, 2, 1))
+
+    return patched
+
+
+def _bump_nested_walk(walk):
+    # the first nested pair over [3] twice, for the count and the generator
+    def patched(entries, n, target, s):
+        chains = list(walk(entries, n, target, s))
+        yield from chains + chains[:1] * ((n, s) == (3, 2))
 
     return patched
 
@@ -489,6 +527,7 @@ ROUTE_CORES = [
     ("S1MOD_REC", stirling, "_point_sums", _S1_CELL),
     ("S1MOD_DEF", stirling, "_stirling1_mod_column", _bump_s1_column),
     ("S1MOD_DEF", stirling, "_point_sums", _S1_CELL),
+    ("S1MOD_PART", stirling, "_stirling1_mod_column", _bump_s1_column),
     ("S1MOD_PART", stirling, "_point_sums", _S1_CELL),
     ("S2MOD_SPEC", stirling, "_stirling2_mod_column", _bump_s2_column),
     ("S2MOD_SPEC", stirling, "_point_sums", _S2_CELL),
@@ -515,19 +554,25 @@ ROUTE_CORES = [
     ("LMOD", symfun, "_series_product", _bump_series),
     ("PART_ZERO", symfun, "_series_product", _bump_series),
     ("HIGHER_REC", enumeration, "_min_set_tally", _bump_tally),
+    ("NESTED", enumeration, "_nested_walk", _bump_nested_walk),
+    ("PATHS", enumeration, "_gen_step_strings", _bump_step_strings),
+    ("TILINGS", enumeration, "_gen_step_strings", _bump_step_strings),
+    ("FERMAT", stirling, "_rows_stirling2", _bump_rows_stirling2),
+    ("CONV_HE", identities, "_modular_conv", _bump_two_by_two),
+    ("ALLONES", identities, "modular_all_ones", _bump_all_ones),
     *(
         (key, stirling, "_bounded_rows", _bump_e_rows)
         for key in ("OMEGA", "HIGHER_REC", "LMOD", "PS1", "FERMAT")
     ),
     *(
         (key, symfun, "_index_tuple_poly", _bump_index_tuples)
-        for key in ("EH_ME", "INV_ZERO", "INV_H", "INV_E")
+        for key in ("EH_ME", "INV_ZERO", "INV_H", "INV_E", "CONV_HE")
     ),
     *(
-        (key, symfun, "_composition_poly", _bump_composition)
+        (key, symfun, "_composition_poly", _bump_two_by_two)
         for key in (
             "REC3", "REC4", "PATHS", "TILINGS", "ALLONES", "LMOD", "EVANISH",
-            "CONV_HE", "INV_H", "INV_E", "INV_ZERO", "EH_ME",
+            "CONV_HE", "INV_H", "INV_E", "INV_ZERO", "EH_ME", "S1MOD_DEF",
         )
     ),
 ]
@@ -545,6 +590,82 @@ def test_perturbed_route_core_fails(monkeypatch, key, module, core, bump):
     # a core reached by only one side of the identity must show up as failures
     monkeypatch.setattr(module, core, bump(getattr(module, core)))
     assert verify(key, profile="quick").failed >= 1
+
+
+# Every route core, by its home module and name.  Another module may hold
+# the same function under the same name (stirling reads symfun's rules), so
+# a core is known by its code object.
+RULES = {
+    symfun: (
+        "_composition_poly", "_index_tuple_poly", "_modular_rows",
+        "_bounded_rows", "_modular_rec", "_modular_conv", "_series_product",
+        "modular_all_ones",
+    ),
+    stirling: (
+        "_rows_stirling2", "_point_sums", "_stirling1_mod_column",
+        "_stirling2_mod_column",
+    ),
+    enumeration: (
+        "_rgs_placements", "_count_partitions_by_diffs", "_gen_step_strings",
+        "_all_cycle_perms", "_min_set_tally", "_nested_walk",
+    ),
+    polycore: ("_cauchy",),
+}
+
+# Cores that may be reached from inside one other core only: that core's
+# rows guard them there.
+THROUGH = {
+    "_all_cycle_perms": "_min_set_tally",
+    "_modular_rows": "_modular_rec",
+    "_cauchy": "_series_product",
+}
+
+
+def _rule_names():
+    return {
+        getattr(module, name).__code__: name
+        for module, names in RULES.items()
+        for name in names
+    }
+
+
+def _traced_cores(key):
+    # {core: reached outside its THROUGH core} over the quick sweep of key,
+    # from the profiler of this process only
+    names = _rule_names()
+    reached = {}
+
+    def profile(frame, event, arg):
+        name = names.get(frame.f_code) if event == "call" else None
+        if name is None:
+            return
+        outer, inside = frame.f_back, False
+        while name in THROUGH and outer is not None and not inside:
+            inside = names.get(outer.f_code) == THROUGH[name]
+            outer = outer.f_back
+        reached[name] = reached.get(name, False) or not inside
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        verify(key, profile="quick")
+    finally:
+        sys.setprofile(old)
+    return reached
+
+
+def test_route_cores_are_the_traced_cores():
+    # a core an identity reaches needs a row for that identity (or is
+    # reached inside its THROUGH core only), and a row's core is reached
+    names = _rule_names()
+    rows = {key: set() for key in EXPECTED_IDS}
+    for key, module, core, _ in ROUTE_CORES:
+        rows[key].add(names[getattr(module, core).__code__])
+    for key in EXPECTED_IDS:
+        reached = _traced_cores(key)
+        direct = {name for name, outside in reached.items() if outside}
+        assert direct <= rows[key], (key, sorted(direct - rows[key]))
+        assert rows[key] <= reached.keys(), (key, sorted(rows[key] - reached.keys()))
 
 
 class TestRhsHelpers:

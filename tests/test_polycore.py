@@ -160,6 +160,19 @@ class TestPolynomial:
         assert Polynomial({(1, 0): 2, (0, 0, 0): 0}) == Polynomial({(1,): 2})
         assert Polynomial({(): 1}) == 1
 
+    def test_only_ints_mix_with_polynomials(self):
+        # an int on either side is a constant; anything else raises on both
+        assert 3 - X1 == Polynomial({(): 3, (1,): -1}) == -(X1 - 3)
+        for other in (1.5, "a", None):
+            for op in (
+                lambda: other - X1,
+                lambda: X1 - other,
+                lambda: other + X1,
+                lambda: X1 * other,
+            ):
+                with pytest.raises(TypeError):
+                    op()
+
 
 @given(a=polys, b=polys, c=st.integers(-9, 9))
 def test_equal_values_hash_equal(a, b, c):

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,62 @@ def _reference_bounded_rows(xs, s, depth=None):
         top = len(row) - 1 + s if depth is None else min(len(row) - 1 + s, depth)
         row = _cauchy(row, [x**t for t in range(s + 1)], top)
     yield row
+
+
+def _reference_composition_poly(num_vars, degree, parts):
+    # The composition walk before it stopped a prefix at the degree: one
+    # slot per variable, last variable first, with a part (usually 0) at
+    # every variable and the trailing zeros trimmed off each key
+    ok = [False] * (degree + 1)
+    for a in parts:
+        ok[a] = True
+    if num_vars == 0:
+        return Polynomial.one() if degree == 0 else Polynomial.zero()
+    if num_vars == 1:
+        return Polynomial.monomial((degree,)) if ok[degree] else Polynomial.zero()
+    terms = {}
+    buf = [0] * num_vars
+    left = [0] * num_vars
+    todo = [None] * num_vars
+    i = num_vars - 1
+    left[i] = degree
+    todo[i] = iter(parts)
+    while i < num_vars:
+        for a in todo[i]:
+            buf[i] = a
+            rest = left[i] - a
+            if i > 1:
+                i -= 1
+                left[i] = rest
+                todo[i] = iter(parts[: bisect_right(parts, rest)])
+                break
+            if ok[rest]:
+                buf[0] = rest
+                end = num_vars
+                while end and buf[end - 1] == 0:
+                    end -= 1
+                terms[tuple(buf[:end])] = 1
+        else:
+            i += 1
+    return Polynomial._raw(terms)
+
+
+class TestCompositionWalk:
+    def test_terms_match_the_reference_walk(self):
+        # every parts list the library passes: each residue ell <= s, and
+        # the E^(s) parts
+        for num_vars in range(7):
+            for degree in range(11):
+                for s in range(1, 5):
+                    lists = [
+                        list(symfun._residue_parts(degree, s, ell))
+                        for ell in range(s + 1)
+                    ]
+                    lists.append(range(min(degree, s) + 1))
+                    for parts in lists:
+                        got = symfun._composition_poly(num_vars, degree, parts)
+                        want = _reference_composition_poly(num_vars, degree, parts)
+                        assert got.terms == want.terms, (num_vars, degree, parts)
 
 
 class TestElemComp:
