@@ -26,16 +26,45 @@ from contextlib import contextmanager
 from modsym import enumeration, identities, stirling, symfun
 
 _EVAL_FUNCTIONS = ("M", "E", "e", "h", "Ml")
-_ENUM_FAMILIES = (
-    "paths",
-    "tilings",
-    "partitions",
-    "partitions-mod",
-    "partitions-bounded",
-    "perms",
-    "nested-tuples",
-)
 _CLASSICAL = ("stirling2", "stirling1")
+
+
+def _word_json(key):
+    return lambda o: {key: str(o), "weight": str(o.weight())}
+
+
+def _weighted(o):
+    return f"{o} {o.weight()}"
+
+
+def _blocks_json(o):
+    return {"blocks": [list(b) for b in o.blocks], "text": str(o)}
+
+
+# family: (the flags its generator reads, in order; the generator's name on
+# enumeration, looked up at call time so that a wrapper bound over
+# enumeration.gen_* (the perfbench tracer) sees the call; text form; JSON form)
+_ENUM_FAMILIES = {
+    "paths": (("n", "k", "s"), "gen_lattice_paths", _weighted, _word_json("steps")),
+    "tilings": (("n", "k", "s"), "gen_tilings", _weighted, _word_json("cells")),
+    "partitions": (("n", "k"), "gen_set_partitions", str, _blocks_json),
+    "partitions-mod": (("n", "k", "s"), "gen_partitions_mod", str, _blocks_json),
+    "partitions-bounded": (
+        ("board", "blocks", "s"), "gen_partitions_bounded", str, _blocks_json
+    ),
+    "perms": (
+        ("n", "k"),
+        "gen_cycle_perms",
+        str,
+        lambda o: {"cycles": [list(c) for c in o.cycles], "text": str(o)},
+    ),
+    "nested-tuples": (
+        ("n", "k", "s"),
+        "gen_nested_tuples",
+        lambda o: " | ".join(map(str, o)),
+        lambda o: {"perms": [str(cp) for cp in o]},
+    ),
+}
 
 
 @functools.cache
@@ -204,58 +233,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _require(args, names):
-    missing = [f"--{n}" for n in names if getattr(args, n.replace("-", "_")) is None]
+def _cmd_enumerate(args) -> int:
+    flags, gen_name, as_text, as_json = _ENUM_FAMILIES[args.family]
+    values = [getattr(args, flag) for flag in flags]
+    missing = [f"--{flag}" for flag, v in zip(flags, values) if v is None]
     if missing:
         raise ValueError(f"family {args.family!r} requires {', '.join(missing)}")
-
-
-def _enum_stream(args):
-    # (objects, text form, JSON form); _cmd_enumerate builds only the one asked
-    # for.  The generators are looked up on the module at call time, so that a
-    # wrapper bound over enumeration.gen_* (the perfbench tracer) sees the call.
-    fam = args.family
-    if fam in ("paths", "tilings"):
-        _require(args, ("n", "k", "s"))
-        if fam == "paths":
-            gen, key = enumeration.gen_lattice_paths(args.n, args.k, args.s), "steps"
-        else:
-            gen, key = enumeration.gen_tilings(args.n, args.k, args.s), "cells"
-        return (
-            gen,
-            lambda o: f"{o} {o.weight()}",
-            lambda o: {key: str(o), "weight": str(o.weight())},
-        )
-    if fam == "perms":
-        _require(args, ("n", "k"))
-        gen = enumeration.gen_cycle_perms(args.n, args.k)
-        return (
-            gen,
-            str,
-            lambda o: {"cycles": [list(c) for c in o.cycles], "text": str(o)},
-        )
-    if fam == "nested-tuples":
-        _require(args, ("n", "k", "s"))
-        gen = enumeration.gen_nested_tuples(args.n, args.k, args.s)
-        return (
-            gen,
-            lambda o: " | ".join(str(cp) for cp in o),
-            lambda o: {"perms": [str(cp) for cp in o]},
-        )
-    if fam == "partitions":
-        _require(args, ("n", "k"))
-        gen = enumeration.gen_set_partitions(args.n, args.k)
-    elif fam == "partitions-mod":
-        _require(args, ("n", "k", "s"))
-        gen = enumeration.gen_partitions_mod(args.n, args.k, args.s)
-    else:  # partitions-bounded
-        _require(args, ("board", "blocks", "s"))
-        gen = enumeration.gen_partitions_bounded(args.board, args.blocks, args.s)
-    return gen, str, lambda o: {"blocks": [list(b) for b in o.blocks], "text": str(o)}
-
-
-def _cmd_enumerate(args) -> int:
-    gen, as_text, as_json = _enum_stream(args)
+    gen = getattr(enumeration, gen_name)(*values)
     params = {
         key: getattr(args, key)
         for key in ("n", "k", "s", "board", "blocks")

@@ -26,36 +26,53 @@ admissibility table (``_admissible``): nxt[g] is the least admissible entry
 i+1, the next entry fixed is an opening i-m..n-m-1 or the closing n-m, so
 the node is cut when nxt[i-m] > n-m ("the gap already exceeds s" for
 d_i <= s).  No walk here recurses.  ``SetPartition`` and
-``CyclePermutation`` share one validation body, ``_Parts``; the partition
-generators build their objects through ``_Parts._trusted``, which skips it,
-while outside construction is still checked.  All permutation families read
-S_n from ``_all_cycle_perms`` and build an object only for a permutation they
-yield.
+``CyclePermutation`` share one validation body, ``_Parts``, and
+``LatticePath`` and ``Tiling`` another, ``_LevelWord``.  Every generator
+builds what it yields through ``_trusted``, which skips the check its values
+pass by construction; every object a caller builds is checked.  All
+permutation families read S_n from ``_all_cycle_perms`` and build an object
+only for a permutation they yield.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain, permutations, product
 from math import prod
 
 from modsym.polycore import Polynomial
 
 
+class _OneField:
+    # Base of the value classes here, each a frozen dataclass with one field
+    # that its __post_init__ checks.
+
+    @classmethod
+    def _trusted(cls, value):
+        # Internal: value must already pass the check __post_init__ makes.
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, cls.__match_args__[0], value)
+        return obj
+
+    @property
+    def _field(self):
+        return getattr(self, self.__match_args__[0])  # the one field
+
+
 # ---------------------------------------------------------------------------
 # set partitions
 
 
-class _Parts:
+class _Parts(_OneField):
     # Body shared by SetPartition and CyclePermutation: nonempty parts in the
     # subclass's one field, ordered by their first elements and holding 1..n
     # exactly once between them, each passing the subclass's _part_ok (whose
     # failure _rule states); _noun names a part in messages.
 
     def __post_init__(self):
-        parts = self._parts
+        parts = self._field
         for part in parts:
             if not part:
                 raise ValueError(f"empty {self._noun}")
@@ -68,20 +85,9 @@ class _Parts:
         if elements != list(range(1, len(elements) + 1)):
             raise ValueError(f"{self._noun}s do not hold 1..n exactly once")
 
-    @classmethod
-    def _trusted(cls, parts: tuple[tuple[int, ...], ...]):
-        # Internal: parts must already pass the check __post_init__ makes.
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, cls.__match_args__[0], parts)
-        return obj
-
-    @property
-    def _parts(self) -> tuple[tuple[int, ...], ...]:
-        return getattr(self, self.__match_args__[0])  # the one field
-
     @property
     def n(self) -> int:
-        return sum(map(len, self._parts))
+        return sum(map(len, self._field))
 
 
 @dataclass(frozen=True)
@@ -274,8 +280,7 @@ def partitions_from_composition(a: Sequence[int]) -> list[SetPartition]:
 
     Block minima are forced at m_1 = 1 and m_{i+1} = m_i + a_i + 1; each of
     the a_i elements between two minima may join any of the i open blocks,
-    giving prod_i i^{a_i} partitions.  Output is sorted by restricted-growth
-    string.
+    giving prod_i i^{a_i} partitions, in restricted-growth string order.
     """
     a = tuple(a)
     if not a:
@@ -292,13 +297,14 @@ def partitions_from_composition(a: Sequence[int]) -> list[SetPartition]:
         upper = minima[i] - 1 if i < n else total
         for e in range(m + 1, upper + 1):
             free.append((e, i))
+    # product varies the last free element fastest, and the minima fix their
+    # entries, so the strings come out in lexicographic order
     result = []
     for choices in product(*(range(c) for _, c in free)):
         blocks = [[m] for m in minima]
         for (e, _), c in zip(free, choices):
             blocks[c].append(e)
-        result.append(SetPartition(tuple(tuple(b) for b in blocks)))
-    result.sort(key=lambda p: p.rgs())
+        result.append(SetPartition._trusted(tuple(tuple(b) for b in blocks)))
     return result
 
 
@@ -306,9 +312,9 @@ def partitions_from_composition(a: Sequence[int]) -> list[SetPartition]:
 # lattice paths and tilings
 
 
-class _LevelWord:
+class _LevelWord(_OneField):
     # Body shared by LatticePath and Tiling: a word, held in the subclass's
-    # one field and returned by its __str__, over a weighted letter and a
+    # one field and returned by __str__, over a weighted letter and a
     # separator letter (_letters, in that order).  Each separator closes a
     # level; the level exponents count the weighted letters per level.
     _letters = ""
@@ -316,8 +322,11 @@ class _LevelWord:
     def __post_init__(self):
         word = str(self)
         if set(word) - set(self._letters):
-            name, over = fields(self)[0].name, "/".join(self._letters)
+            name, over = self.__match_args__[0], "/".join(self._letters)
             raise ValueError(f"{name} must be over {over}, got {word!r}")
+
+    def __str__(self) -> str:
+        return self._field
 
     @property
     def k(self) -> int:
@@ -345,9 +354,6 @@ class LatticePath(_LevelWord):
     steps: str
     _letters = "HV"
 
-    def __str__(self) -> str:
-        return self.steps
-
 
 @dataclass(frozen=True)
 class Tiling(_LevelWord):
@@ -362,9 +368,6 @@ class Tiling(_LevelWord):
     def run_lengths(self) -> tuple[int, ...]:
         """Lengths of the maximal runs of black cells, in board order."""
         return tuple(len(r) for r in self.cells.split("G") if r)
-
-    def __str__(self) -> str:
-        return self.cells
 
 
 def _check_path_args(n: int, k: int, s: int):
@@ -404,7 +407,7 @@ def gen_lattice_paths(n: int, k: int, s: int) -> Iterator[LatticePath]:
     the family equals modular_sym(n, k, s).
     """
     _check_path_args(n, k, s)
-    return (LatticePath(steps) for steps in _gen_step_strings(n, k, s, "H", "V"))
+    return map(LatticePath._trusted, _gen_step_strings(n, k, s, "H", "V"))
 
 
 def gen_tilings(n: int, k: int, s: int) -> Iterator[Tiling]:
@@ -414,7 +417,7 @@ def gen_tilings(n: int, k: int, s: int) -> Iterator[Tiling]:
     the family equals modular_sym(n, k, s).
     """
     _check_path_args(n, k, s)
-    return (Tiling(cells) for cells in _gen_step_strings(n, k, s, "B", "G"))
+    return map(Tiling._trusted, _gen_step_strings(n, k, s, "B", "G"))
 
 
 def path_to_tiling(p: LatticePath) -> Tiling:
@@ -499,14 +502,13 @@ def gen_cycle_perms(n: int, k: int) -> Iterator[CyclePermutation]:
     """All permutations of [n] with exactly k cycles, by one-line lex order."""
     if n < k or k < 0:
         raise ValueError(f"need n >= k >= 0, got ({n}, {k})")
-    return (CyclePermutation(c) for c in _all_cycle_perms(n) if len(c) == k)
+    return (CyclePermutation._trusted(c) for c in _all_cycle_perms(n) if len(c) == k)
 
 
-def _min_set_tally(n: int, k: int | None = None) -> Counter:
-    # Multiplicity of each cycle-minima set over S_n (or over the k-cycle slice).
-    return Counter(
-        _min_set(c) for c in _all_cycle_perms(n) if k is None or len(c) == k
-    )
+def _min_set_tally(n: int) -> Counter:
+    # Multiplicity of each cycle-minima set over S_n.  A min-set holds one
+    # minimum per cycle, so the classes of size k are the k-cycle slice.
+    return Counter(map(_min_set, _all_cycle_perms(n)))
 
 
 def count_equal_minset_tuples(n: int, k: int, s: int) -> int:
@@ -519,7 +521,7 @@ def count_equal_minset_tuples(n: int, k: int, s: int) -> int:
         raise ValueError(f"need n >= k >= 0, got ({n}, {k})")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    return sum(c**s for c in _min_set_tally(n, k).values())
+    return sum(c**s for m, c in _min_set_tally(n).items() if len(m) == k)
 
 
 def _nested_target(n: int, k: int, s: int) -> int | None:
@@ -559,7 +561,10 @@ def gen_nested_tuples(
     if target is None:
         return iter(())
     perms = ((c, _min_set(c)) for c in _all_cycle_perms(n))
-    return (tuple(map(CyclePermutation, t)) for t in _nested_walk(perms, n, target, s))
+    return (
+        tuple(map(CyclePermutation._trusted, t))
+        for t in _nested_walk(perms, n, target, s)
+    )
 
 
 def _nested_walk(entries, n: int, target: int, s: int) -> Iterator[tuple]:

@@ -8,7 +8,8 @@ polynomial stores no terms.  Because the representation is canonical,
 structural equality of two polynomials is mathematical equality.
 
 Coefficients are plain Python ints throughout.  Everything this library
-computes is an exact integer identity, so floating point never appears.
+computes is an exact integer identity, so floating point never appears: the
+public constructors refuse a non-int exponent or coefficient (``TypeError``).
 
 ``*`` is the one polynomial product.  When either operand is a single term
 that is a constant c or a power c*x_i^a of one variable, the product scales
@@ -36,12 +37,20 @@ def make_monomial(exponents: Iterable[int]) -> Monomial:
     """Canonicalize an exponent sequence: validate and trim trailing zeros."""
     exps = tuple(exponents)
     for a in exps:
+        if not isinstance(a, int):
+            raise TypeError(f"exponent {a!r} in monomial {exps} is not an int")
         if a < 0:
             raise ValueError(f"negative exponent {a} in monomial {exps}")
     end = len(exps)
     while end > 0 and exps[end - 1] == 0:
         end -= 1
     return exps[:end]
+
+
+def _int_coeff(c: int) -> int:
+    if not isinstance(c, int):
+        raise TypeError(f"coefficient {c!r} is not an int")
+    return c
 
 
 class Polynomial:
@@ -54,7 +63,7 @@ class Polynomial:
         if terms:
             for exps, coeff in terms.items():
                 mono = make_monomial(exps)
-                c = acc.get(mono, 0) + coeff
+                c = acc.get(mono, 0) + _int_coeff(coeff)
                 if c:
                     acc[mono] = c
                 elif mono in acc:
@@ -78,7 +87,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: int) -> "Polynomial":
-        return cls._raw({(): c} if c else {})
+        return cls._raw({(): c} if _int_coeff(c) else {})
 
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
@@ -89,7 +98,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, exponents: Iterable[int], coeff: int = 1) -> "Polynomial":
-        if coeff == 0:
+        if _int_coeff(coeff) == 0:
             return cls.zero()
         return cls._raw({make_monomial(exponents): coeff})
 

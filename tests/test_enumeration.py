@@ -219,6 +219,29 @@ def _filtered_families(s):
     return families
 
 
+def _recorded_checks(monkeypatch, cls):
+    # the objects of cls whose __post_init__ check runs, from here on
+    built = []
+    check = cls.__post_init__
+
+    def counted_check(obj):
+        built.append(obj)
+        check(obj)
+
+    monkeypatch.setattr(cls, "__post_init__", counted_check)
+    return built
+
+
+def _reference_min_set_tally(n, k):
+    # Reference: the min-sets of the k-cycle permutations of [n] only,
+    # tallied apart from the rest of S_n.
+    return Counter(
+        enumeration._min_set(c)
+        for c in enumeration._all_cycle_perms(n)
+        if len(c) == k
+    )
+
+
 class TestSetPartitions:
     def test_counts_match_second_kind(self):
         for n in range(8):
@@ -263,14 +286,7 @@ class TestSetPartitions:
             SetPartition(((1,), ()))  # empty block
 
     def test_generated_partitions_skip_the_check_they_pass(self, monkeypatch):
-        built = []
-        check = SetPartition.__post_init__
-
-        def counted_check(p):
-            built.append(p)
-            check(p)
-
-        monkeypatch.setattr(SetPartition, "__post_init__", counted_check)
+        built = _recorded_checks(monkeypatch, SetPartition)
         generated = []
         for n in range(9):
             for k in range(n + 1):
@@ -432,6 +448,26 @@ class TestPartitionsFromComposition:
             union |= chunk
         assert union == {str(p) for p in gen_set_partitions(n + k, n)}
 
+    def test_comes_out_in_restricted_growth_order(self):
+        for n in range(1, 5):
+            for a in product(range(7), repeat=n):
+                if sum(a) <= 6:
+                    parts = partitions_from_composition(a)
+                    assert parts == sorted(parts, key=SetPartition.rgs), a
+
+    def test_built_partitions_skip_the_check_they_pass(self, monkeypatch):
+        built = _recorded_checks(monkeypatch, SetPartition)
+        generated = [
+            p
+            for n in range(1, 5)
+            for a in product(range(5), repeat=n)
+            if sum(a) <= 4
+            for p in partitions_from_composition(a)
+        ]
+        assert built == []
+        assert all(SetPartition(p.blocks) == p for p in generated)
+        assert len(built) == len(generated)
+
     @staticmethod
     def _fibers(n, k, part_ok):
         # the partitions of [n] into k blocks whose difference vector a has
@@ -530,6 +566,21 @@ class TestPathsAndTilings:
             want = list(_reference_step_strings(n, k, s, *letters))
             assert got == want, (n, k, s, letters)
 
+    def test_generated_words_skip_the_check_they_pass(self, monkeypatch):
+        for cls, gen, field in (
+            (LatticePath, gen_lattice_paths, "steps"),
+            (Tiling, gen_tilings, "cells"),
+        ):
+            built = _recorded_checks(monkeypatch, cls)
+            generated = [
+                w
+                for n, k, s in product(range(1, 5), range(7), range(1, 4))
+                for w in gen(n, k, s)
+            ]
+            assert built == []
+            assert all(cls(getattr(w, field)) == w for w in generated)
+            assert len(built) == len(generated)
+
     def test_run_lengths_constraint(self):
         for t in gen_tilings(3, 5, 2):
             assert all(r % 3 <= 1 for r in t.run_lengths())
@@ -613,17 +664,26 @@ class TestCyclePermutations:
 
     def test_builds_only_the_yielded_objects(self, monkeypatch):
         built = []
-        check = CyclePermutation.__post_init__
+        trusted = CyclePermutation._trusted
 
-        def counted_check(cp):
-            built.append(cp)
-            check(cp)
+        def counted(cycles):
+            built.append(cycles)
+            return trusted(cycles)
 
-        monkeypatch.setattr(CyclePermutation, "__post_init__", counted_check)
+        monkeypatch.setattr(CyclePermutation, "_trusted", counted)
         assert [str(cp) for cp in gen_cycle_perms(7, 7)] == [
             "(1)(2)(3)(4)(5)(6)(7)"
         ]
         assert len(built) == 1
+
+    def test_generated_perms_skip_the_check_they_pass(self, monkeypatch):
+        built = _recorded_checks(monkeypatch, CyclePermutation)
+        generated = [
+            cp for n in range(7) for k in range(n + 1) for cp in gen_cycle_perms(n, k)
+        ]
+        assert built == []
+        assert all(CyclePermutation(cp.cycles) == cp for cp in generated)
+        assert len(built) == len(generated)
 
 
 class TestMinSetTuples:
@@ -658,6 +718,27 @@ class TestMinSetTuples:
                         if len({cp.min_set() for cp in tup}) == 1
                     )
                     assert count == count_equal_minset_tuples(n, k, s)
+
+    def test_tally_classes_of_size_k_are_the_k_cycle_slice(self):
+        for n in range(8):
+            tally = enumeration._min_set_tally(n)
+            for k in range(n + 1):
+                got = Counter({m: c for m, c in tally.items() if len(m) == k})
+                assert got == _reference_min_set_tally(n, k), (n, k)
+
+    def test_generated_tuples_skip_the_check_they_pass(self, monkeypatch):
+        built = _recorded_checks(monkeypatch, CyclePermutation)
+        generated = [
+            cp
+            for n in range(1, 4)
+            for s in range(1, 4)
+            for k in range(1 - s, n * s + 2)
+            for tup in gen_nested_tuples(n, k, s)
+            for cp in tup
+        ]
+        assert built == []
+        assert all(CyclePermutation(cp.cycles) == cp for cp in generated)
+        assert len(built) == len(generated)
 
     def test_nested_reference(self):
         assert count_nested_minset_tuples(3, 4, 3) == 15

@@ -91,6 +91,11 @@ class TestMonomial:
         with pytest.raises(ValueError):
             make_monomial((1, -1))
 
+    def test_rejects_non_int_exponents(self):
+        for exps in ((0.5, 1), (1.5,), (1, "2")):
+            with pytest.raises(TypeError, match="is not an int"):
+                make_monomial(exps)
+
 
 class TestPolynomial:
     def test_additive_inverse_is_zero(self):
@@ -159,6 +164,19 @@ class TestPolynomial:
     def test_equality_is_canonical(self):
         assert Polynomial({(1, 0): 2, (0, 0, 0): 0}) == Polynomial({(1,): 2})
         assert Polynomial({(): 1}) == 1
+
+    def test_constructors_take_only_int_exponents_and_coefficients(self):
+        for build in (
+            lambda: Polynomial({(0.5, 1): 2}),
+            lambda: Polynomial({(1,): 1.5}),
+            lambda: Polynomial.monomial((1.5,)),
+            lambda: Polynomial.monomial((1,), 2.0),
+            lambda: Polynomial.constant(1.5),
+            lambda: TruncatedSeries([1.5, 2]),
+        ):
+            with pytest.raises(TypeError, match="is not an int"):
+                build()
+        assert Polynomial.monomial((2, 1), 3) == Polynomial({(2, 1): 3})
 
     def test_only_ints_mix_with_polynomials(self):
         # an int on either side is a constant; anything else raises on both
