@@ -24,6 +24,7 @@ import sys
 from contextlib import contextmanager
 
 from modsym import enumeration, identities, stirling, symfun
+from modsym.polycore import _at_least
 
 _EVAL_FUNCTIONS = ("M", "E", "e", "h", "Ml")
 _CLASSICAL = ("stirling2", "stirling1")
@@ -161,10 +162,8 @@ def _json_dump(obj, fh):
 
 
 def _cmd_table(args) -> int:
-    if args.s < 1:
-        raise ValueError(f"--s must be >= 1, got {args.s}")
-    if args.n_max < 0:
-        raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
+    _at_least("--s", args.s, 1)
+    _at_least("--n-max", args.n_max, 0)
     with _destination(args.output) as fh:
         rows = stirling.triangle_rows(args.family, args.s, args.n_max)
         if args.format == "text":
@@ -184,8 +183,7 @@ def _parse_vars(raw: str):
             n = int(raw.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad symbolic variable count in {raw!r}") from None
-        if n < 0:
-            raise ValueError(f"symbolic variable count must be >= 0, got {n}")
+        _at_least("symbolic variable count", n, 0)
         return n, None
     try:
         point = tuple(int(tok) for tok in raw.split(","))

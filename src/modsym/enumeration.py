@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import chain, permutations, product
 from math import prod
 
-from modsym.polycore import Polynomial
+from modsym.polycore import Polynomial, _at_least
 
 
 class _OneField:
@@ -235,15 +235,13 @@ def gen_partitions_bounded(
 def _check_bounded(n_board: int, n_blocks: int, s_bound: int):
     if n_board < n_blocks or n_blocks < 1:
         raise ValueError(f"need n_board >= n_blocks >= 1, got ({n_board}, {n_blocks})")
-    if s_bound < 0:
-        raise ValueError(f"s_bound must be >= 0, got {s_bound}")
+    _at_least("s_bound", s_bound, 0)
 
 
 def _check_nks(n: int, k: int, s: int):
     if n < k or k < 1:
         raise ValueError(f"need n >= k >= 1, got ({n}, {k})")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    _at_least("s", s, 1)
 
 
 def _count_partitions_by_diffs(n: int, k: int, entry_ok) -> int:
@@ -285,8 +283,7 @@ def partitions_from_composition(a: Sequence[int]) -> list[SetPartition]:
     a = tuple(a)
     if not a:
         raise ValueError("composition must have at least one part")
-    if any(x < 0 for x in a):
-        raise ValueError(f"composition parts must be >= 0, got {a}")
+    _at_least("composition parts", a, 0)
     n = len(a)
     minima = [1]
     for i in range(n - 1):
@@ -371,12 +368,9 @@ class Tiling(_LevelWord):
 
 
 def _check_path_args(n: int, k: int, s: int):
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    _at_least("n", n, 1)
+    _at_least("k", k, 0)
+    _at_least("s", s, 1)
 
 
 def _gen_step_strings(n: int, k: int, s: int, horiz: str, vert: str) -> Iterator[str]:
@@ -519,18 +513,15 @@ def count_equal_minset_tuples(n: int, k: int, s: int) -> int:
     """
     if n < k or k < 0:
         raise ValueError(f"need n >= k >= 0, got ({n}, {k})")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    _at_least("s", s, 1)
     return sum(c**s for m, c in _min_set_tally(n).items() if len(m) == k)
 
 
 def _nested_target(n: int, k: int, s: int) -> int | None:
     # Total minima count k+s-1 of a nested tuple; None when no tuple of s
     # permutations of [n] (1..n minima each) reaches it.
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    _at_least("n", n, 1)
+    _at_least("s", s, 1)
     if k < 1 - s:
         raise ValueError(f"k must be >= 1-s = {1 - s}, got {k}")
     target = k + s - 1

@@ -49,7 +49,7 @@ from modsym.enumeration import (
     count_partitions_mod,
     count_partitions_zeromod,
 )
-from modsym.polycore import Polynomial
+from modsym.polycore import Polynomial, _one_of
 from modsym.stirling import (
     omega_poly,
     stirling1,
@@ -990,8 +990,7 @@ def list_identities() -> list[IdentityInfo]:
 
 
 def profile_ranges(identity_id: str, profile: str = "quick") -> Ranges:
-    if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
+    _one_of("profile", profile, PROFILES)
     return getattr(_CATALOG[_normalize_id(identity_id)], profile)
 
 
@@ -1075,9 +1074,8 @@ def verify_all(
     profile: str = "quick", ranges: Ranges | None = None
 ) -> list[VerifyReport]:
     """Run every catalog entry under the given profile, in catalog order,
-    with one memo of library calls for the whole sweep."""
-    if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
+    with one memo of library calls for the whole sweep.  An unknown profile
+    is refused by the first ``verify``, before any cell runs."""
     ctx = _Ctx()
     return [verify(key, ranges, profile, _ctx=ctx) for key in _CATALOG]
 

@@ -22,6 +22,11 @@ power of a single term c*m is c^e times m with its exponents scaled by e.
 Serialized term order is graded lexicographic, largest degree first and
 lexicographically larger exponent vector first within a degree.  All printed
 and JSON output follows this order, which keeps golden-file tests stable.
+
+Two refusal rules live here, since every layer imports this module:
+``_at_least`` refuses an argument below its least value, and ``_one_of`` a
+value outside its choices.  Each raises ``ValueError`` with one message form,
+so every layer refuses a bad argument in the same words.
 """
 
 from __future__ import annotations
@@ -31,6 +36,20 @@ from operator import add
 from types import MappingProxyType
 
 Monomial = tuple[int, ...]
+
+
+def _at_least(name: str, value, least: int) -> None:
+    """Refuse a value below ``least``; a tuple is refused when any entry is,
+    and is printed whole."""
+    below = any(v < least for v in value) if isinstance(value, tuple) else value < least
+    if below:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _one_of(name: str, value, choices: tuple) -> None:
+    """Refuse a value that is not one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
 
 
 def make_monomial(exponents: Iterable[int]) -> Monomial:
@@ -92,15 +111,14 @@ class Polynomial:
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
         """The polynomial x_index (1-based variable position)."""
-        if index < 1:
-            raise ValueError(f"variable index must be >= 1, got {index}")
+        _at_least("variable index", index, 1)
         return cls._raw({(0,) * (index - 1) + (1,): 1})
 
     @classmethod
     def monomial(cls, exponents: Iterable[int], coeff: int = 1) -> "Polynomial":
-        if _int_coeff(coeff) == 0:
-            return cls.zero()
-        return cls._raw({make_monomial(exponents): coeff})
+        c = _int_coeff(coeff)
+        mono = make_monomial(exponents)  # checked for a zero coefficient too
+        return cls._raw({mono: c} if c else {})
 
     @property
     def terms(self) -> Mapping[Monomial, int]:
@@ -244,8 +262,7 @@ class Polynomial:
 
     def substitute_power(self, m: int) -> "Polynomial":
         """Substitute x_i -> x_i**m for every variable (m >= 1)."""
-        if m < 1:
-            raise ValueError(f"substitution power must be >= 1, got {m}")
+        _at_least("substitution power", m, 1)
         if m == 1:
             return self
         return Polynomial._raw(
@@ -316,8 +333,7 @@ class TruncatedSeries:
             if not lifted:
                 raise ValueError("a series needs at least the t^0 coefficient")
             degree_bound = len(lifted) - 1
-        if degree_bound < 0:
-            raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
+        _at_least("degree bound", degree_bound, 0)
         if len(lifted) > degree_bound + 1:
             raise ValueError(
                 f"{len(lifted)} coefficients exceed degree bound {degree_bound}"

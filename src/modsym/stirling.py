@@ -50,7 +50,7 @@ from io import StringIO
 from itertools import count, islice
 import csv
 
-from modsym.polycore import Polynomial
+from modsym.polycore import Polynomial, _at_least, _one_of
 from modsym.symfun import _bounded_rows, _last_entry, _modular_rows
 from modsym.symfun import _residue_parts, _series_product
 
@@ -75,14 +75,9 @@ class StirlingQuery:
     s: int = 1
 
     def __post_init__(self):
-        if self.family not in TRIANGLE_FAMILIES:
-            raise ValueError(
-                f"unknown family {self.family!r}; expected one of {TRIANGLE_FAMILIES}"
-            )
-        if self.n < 0 or self.k < 0:
-            raise ValueError(f"n and k must be >= 0, got ({self.n}, {self.k})")
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
+        _one_of("family", self.family, TRIANGLE_FAMILIES)
+        _at_least("n and k", (self.n, self.k), 0)
+        _at_least("s", self.s, 1)
 
 
 def _rows_stirling2() -> Iterator[list[int]]:
@@ -95,8 +90,7 @@ def _rows_stirling2() -> Iterator[list[int]]:
 
 def stirling2(n: int, k: int) -> int:
     """{n,k} via {n,k} = {n-1,k-1} + k*{n-1,k}, {0,0} = 1."""
-    if n < 0 or k < 0:
-        raise ValueError(f"n and k must be >= 0, got ({n}, {k})")
+    _at_least("n and k", (n, k), 0)
     if k > n:
         return 0
     return _last_entry(islice(_rows_stirling2(), n + 1), k)
@@ -151,17 +145,13 @@ def stirling2_mod(n: int, k: int, s: int, method: str = "recurrence") -> int:
     every degree up to n-k, summing their monomials at the point (1..k) by
     degree, and never builds M; ``recurrence`` reads the recurrence table.
     """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    _at_least("s", s, 1)
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got (n, k) = ({n}, {k})")
+    _one_of("method", method, STIRLING2_MOD_METHODS)
     if method == "specialization":
         return _stirling2_mod_column(k, s, n - k)[n - k]
-    if method == "recurrence":
-        return _last_entry(_modular_rows(range(1, k + 1), 1, n - k, s), n - k)
-    raise ValueError(
-        f"unknown method {method!r}; expected one of {STIRLING2_MOD_METHODS}"
-    )
+    return _last_entry(_modular_rows(range(1, k + 1), 1, n - k, s), n - k)
 
 
 def _stirling1_mod_column(n: int, s: int, degree: int | None = None) -> list[int]:
@@ -179,10 +169,8 @@ def stirling1_mod(n: int, k: int, s: int) -> int:
     their monomials at the point; E is never built.  Zero whenever the
     target index falls outside [0, (n-1)s].
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"n and k must be >= 1, got ({n}, {k})")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    _at_least("n and k", (n, k), 1)
+    _at_least("s", s, 1)
     idx = (n - 1) * s - (k - 1)
     if idx < 0:
         return 0
@@ -195,20 +183,16 @@ def stirling1_mod_rec(n: int, k: int, s: int) -> int:
     Defined for any integer k; values vanish below k = 1-s and above
     k = (n-1)s + 1.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    _at_least("n", n, 0)
+    _at_least("s", s, 1)
     depth = (n - 1) * s + 1 - k
     return _last_entry(_bounded_rows(range(1, n), s, depth), depth)
 
 
 def stirling1_higher(n: int, k: int, s: int) -> int:
     """Level-s first kind [n,k]_s = e_{n-k}(0^s, 1^s, ..., (n-1)^s)."""
-    if n < 0 or k < 0:
-        raise ValueError(f"n and k must be >= 0, got ({n}, {k})")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    _at_least("n and k", (n, k), 0)
+    _at_least("s", s, 1)
     return _last_entry(_bounded_rows([j**s for j in range(n)], 1, n - k), n - k)
 
 
@@ -217,10 +201,8 @@ def omega_poly(n: int, s: int) -> Polynomial:
 
     Its x^k coefficient equals stirling1_higher(n, k, s).
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    _at_least("n", n, 0)
+    _at_least("s", s, 1)
     result = Polynomial.one()
     x = Polynomial.variable(1)
     for j in range(n):
@@ -239,12 +221,9 @@ def stirling2_mod_series(
     only the verifier sets it, to s, to evaluate the commonly printed
     numerator 1 + r*x^s, which does not give the triangle.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if degree_bound < 0:
-        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
+    _at_least("k", k, 0)
+    _at_least("s", s, 1)
+    _at_least("degree bound", degree_bound, 0)
     return _series_product(range(1, k + 1), s, degree_bound, _numerator)
 
 
@@ -257,8 +236,7 @@ def triangle_rows(family: str, s: int, n_max: int) -> list[list[int]]:
     shape with a zero k = 0 column).
     """
     StirlingQuery(0, 0, family, s)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _at_least("n_max", n_max, 0)
     if family == "stirling2mod":
         cols = list(_modular_rows(range(1, n_max + 1), 1, n_max, s, total=n_max))
         return [[cols[k][n - k] for k in range(n + 1)] for n in range(n_max + 1)]

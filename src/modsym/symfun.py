@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from modsym.polycore import Polynomial, TruncatedSeries, _cauchy
+from modsym.polycore import Polynomial, TruncatedSeries, _at_least, _cauchy, _one_of
 
 MODULAR_METHODS = ("enumeration", "recurrence", "convolution")
 
@@ -48,12 +48,9 @@ class SymFunParams:
     ell: int = 1
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
+        _at_least("n", self.n, 0)
+        _at_least("k", self.k, 0)
+        _at_least("s", self.s, 1)
         if not 0 <= self.ell <= self.s:
             raise ValueError(f"ell must satisfy 0 <= ell <= s, got {self.ell}")
 
@@ -213,15 +210,12 @@ def _modular_conv(n: int, k: int, s: int, h_power: int) -> Polynomial:
 def modular_sym(n: int, k: int, s: int, method: str = "enumeration") -> Polynomial:
     """M_k^(s)(x_1..x_n) by the requested route; all routes agree canonically."""
     SymFunParams(n, k, s)
+    _one_of("method", method, MODULAR_METHODS)
     if method == "enumeration":
         return lmodular_sym(n, k, s, 1)
     if method == "recurrence":
         return _modular_rec(n, k, s)[k]
-    if method == "convolution":
-        return _modular_conv(n, k, s, s + 1)
-    raise ValueError(
-        f"unknown method {method!r}; expected one of {MODULAR_METHODS}"
-    )
+    return _modular_conv(n, k, s, s + 1)
 
 
 def _series_product(xs: Sequence, s: int, bound: int, numerator: int = 1) -> list:
@@ -250,8 +244,7 @@ def modular_series(n: int, s: int, degree_bound: int) -> TruncatedSeries:
     and zero otherwise.
     """
     SymFunParams(n, 0, s)
-    if degree_bound < 0:
-        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
+    _at_least("degree bound", degree_bound, 0)
     variables = [Polynomial.variable(i) for i in range(1, n + 1)]
     return TruncatedSeries(_series_product(variables, s, degree_bound), degree_bound)
 
@@ -265,8 +258,7 @@ def modular_all_ones(n: int, k: int, s: int, *, _shift: int = 0) -> int:
     only the verifier's mutation self-test sets it.
     """
     SymFunParams(n, k, s)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _at_least("n", n, 1)
     total = 0
     for j in range(k // (s + 1) + 1):
         r = k - j * (s + 1)

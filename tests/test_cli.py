@@ -68,6 +68,8 @@ b6234046b3ac61e7c849960bc8c42091bfc8b68fe05a3b8c0f0297865a07e969  verify --seed-
 0e77cf34e21a843f5b1c40634b2766cb294f0c4ea903e58477ca85ed9ff5aa05  eval --function M --s 2 --k 5 --vars symbolic:3
 3d7e58f4668ffc3057f94187d16087b088135840f4ee416c29c53b3cf7b791a9  eval --function Ml --s 3 --ell 2 --k 4 --vars symbolic:3 --format json
 6b0104f6f9293c02814fa031578a3ee9a47d00b0b40a097201a2f1267ec2c3cc  eval --function h --k 3 --vars symbolic:3
+d58839c0651d33f483a477fe7450aa1a19d61c2ae3c374dd5d6e4da11c4112a5  eval --function E --s 2 --k 4 --vars symbolic:3
+db1b1c692576f746b7a7df42d83bff7a63ae17e1bc6f868032d2ad91aae98aff  eval --function e --k 2 --vars symbolic:4 --format json
 6256d166405ca873c586d0c76e9528fa23a172c82f07096e8899a50aacf2bbfb  enumerate --family partitions-mod --n 6 --k 3 --s 2
 df4f8216e4f1634b61095f461a6ec3e78be99820f28b4f8ae75f577a12799667  enumerate --family paths --n 3 --k 5 --s 2 --format json
 23daffea3ef626217ce3b85b944b060ea2b2827897d45b3e70a8094cc72c6f93  enumerate --family perms --n 5 --k 2

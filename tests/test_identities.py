@@ -98,6 +98,20 @@ class TestVerify:
         assert rep.range["k_max"] == 1
         assert rep.passed + rep.failed + rep.skipped == cells
 
+    def test_fermat_skips_p_that_is_not_prime(self):
+        rep = verify("FERMAT", Ranges(p_list=(1, 2)))
+        assert (rep.passed, rep.failed, rep.skipped) == (24, 0, 24)
+
+    def test_s1mod_rec_honors_k_max(self):
+        rep = verify("S1MOD_REC", Ranges(k_max=2))
+        assert (rep.passed, rep.failed, rep.skipped) == (18, 0, 0)
+        assert rep.range["k_max"] == 2
+
+    def test_skipped_cell_reports_its_reason(self):
+        obj = check_cell("EVANISH", n=1, k=1, s=2).to_json_obj()
+        assert obj["status"] == "skipped"
+        assert obj["reason"] == "requires odd s"
+
     def test_ps1_reference_cell(self):
         case = check_cell("PS1", n=4, k=8, s=3)
         assert case.status == "pass"

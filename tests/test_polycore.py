@@ -117,6 +117,11 @@ class TestPolynomial:
     def test_mul_expands_omega_factorization(self):
         assert X1 * (X1 + 1) * (X1 + 4) == cube(X1) + 5 * X1 * X1 + 4 * X1
 
+    def test_general_product_cancels_terms(self):
+        # neither operand is a single term, so the general loop runs, and
+        # its two x1*x2 products cancel
+        assert dict(((X1 + X2) * (X1 - X2)).terms) == {(2,): 1, (0, 2): -1}
+
     def test_mul_by_zero_absorbs(self):
         p = 7 * X1 * X3 + X2
         assert (p * Polynomial.zero()).is_zero
@@ -177,6 +182,19 @@ class TestPolynomial:
             with pytest.raises(TypeError, match="is not an int"):
                 build()
         assert Polynomial.monomial((2, 1), 3) == Polynomial({(2, 1): 3})
+
+    def test_zero_monomial_validates_its_exponents(self):
+        # a zero coefficient gives the zero polynomial, but only for exponents
+        # the constructor would accept
+        with pytest.raises(TypeError, match="is not an int"):
+            Polynomial.monomial((1.5,), 0)
+        for build in (
+            lambda: Polynomial.monomial((-1,), 0),
+            lambda: Polynomial({(-1,): 0}),
+        ):
+            with pytest.raises(ValueError, match="negative exponent -1"):
+                build()
+        assert Polynomial.monomial((2, 1), 0) == Polynomial.zero()
 
     def test_only_ints_mix_with_polynomials(self):
         # an int on either side is a constant; anything else raises on both
