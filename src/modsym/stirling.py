@@ -31,15 +31,20 @@ then read them on both sides.  The scalar functions read one value from a
 rule and ``triangle_rows`` the first rows, built bottom-up, so no recursion
 depth is ever an issue.
 
-Both specializations are one walk over compositions, ``_point_sums``, that
-multiplies out each monomial at the point as it goes and never builds the
-polynomial; the kinds differ only in the parts they allow.  One walk covers
-every degree, summing the products by degree, so it yields every k of a
-first-kind row n, or every n of a second-kind column k.  It keeps its own
-stack, so no recursion limit applies.  It visits every composition and
-shares no work between them, unlike the recurrences' dynamic programs, so it
-stays a route independent of the recurrences; no identity compares the two
-kinds' walks with each other.
+Both specializations are one function over compositions, ``_point_sums``,
+that multiplies out each monomial at the point and never builds the
+polynomial; the kinds differ only in the parts they allow.  It splits the
+variables into a head and a tail and lists each half's compositions, with
+their products, by one explicit-stack walk, so no recursion limit applies.
+The tail is listed once, its products kept one by one per degree; every head
+product then multiplies each tail product in C, so each composition is still
+one product, added on its own.  Summing the products by degree covers every
+degree at once: every k of a first-kind row n, or every n of a second-kind
+column k.  A tail degree's products are never summed before the multiply:
+a head product times a tail sum is the E^(s) or M^(s) product rule, which
+the recurrences' dynamic programs compute, and the walk would stop being a
+route independent of them.  No identity compares the two kinds' walks with
+each other.
 """
 
 from __future__ import annotations
@@ -104,31 +109,51 @@ def stirling1(n: int, k: int) -> int:
 
 def _point_sums(m: int, parts: Sequence[int], lo: int, hi: int) -> list[int]:
     # out[d], for lo <= d <= hi, is the sum of 1^{a_1}...m^{a_m} over the
-    # compositions of d into m parts drawn from ``parts`` (ascending, from 0).
-    # One explicit-stack walk visits each composition and multiplies out its
-    # monomial at the point as it goes.  A prefix that reaches hi stops there,
-    # since every later part must then be 0; a part after which the later
-    # parts can no longer reach lo is skipped.
-    out = [0] * (hi + 1)
-    if not m:
-        out[0] = 1
-        return out
+    # compositions of d into m parts drawn from ``parts`` (ascending, from 0);
+    # entries below lo are 0.  ``walk`` lists the compositions of one half of
+    # the variables, head 1..h or tail h+1..m, with their products at the
+    # point.  A prefix that reaches hi is finished, since every later part
+    # must then be 0; a part after which the rest of its half, plus ``other``,
+    # the most the other half adds, can no longer reach lo is skipped.  The
+    # tail is listed once, its products kept one by one per degree, and every
+    # head product multiplies each tail product whose degree lands in
+    # [lo, hi]: one product per composition, added on its own.  Summing a
+    # tail degree first would apply the product rule the recurrences compute.
     top = parts[-1]
-    stack = [(1, 0, 1)]
-    while stack:
-        v, deg, prod = stack.pop()
-        # the least degree after variable v from which the later parts reach lo
-        floor = lo - (m - v) * top
-        for a in parts:
-            d = deg + a
+    h = m - m // 2
+
+    def walk(first, last, other):
+        if first > last:
+            yield 0, 1
+            return
+        stack = [(first, 0, 1)]
+        while stack:
+            v, deg, prod = stack.pop()
+            # the least degree after variable v from which lo is reachable
+            floor = lo - other - (last - v) * top
+            for a in parts:
+                d = deg + a
+                if d > hi:
+                    break
+                if d < floor:
+                    continue
+                if d == hi or v == last:
+                    yield d, prod * v**a
+                else:
+                    stack.append((v + 1, d, prod * v**a))
+
+    tails: dict[int, list[int]] = {}
+    for t, prod in walk(h + 1, m, h * top):
+        tails.setdefault(t, []).append(prod)
+    tails_up = sorted(tails.items())
+    out = [0] * (hi + 1)
+    for deg, prod in walk(1, h, (m - h) * top):
+        for t, prods in tails_up:
+            d = deg + t
             if d > hi:
                 break
-            if d < floor:
-                continue
-            if d == hi or v == m:
-                out[d] += prod * v**a
-            else:
-                stack.append((v + 1, d, prod * v**a))
+            if d >= lo:
+                out[d] += sum(map(prod.__mul__, prods))
     return out
 
 

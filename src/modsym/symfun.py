@@ -71,13 +71,14 @@ def _composition_poly(num_vars: int, degree: int, parts: Sequence[int]) -> Polyn
     """Sum of x^a over the compositions a of ``degree`` into ``num_vars`` parts.
 
     ``parts`` lists the admissible part values, ascending from 0 and at most
-    ``degree``, as ``stirling._point_sums`` takes them.  One explicit stack
-    holds prefixes (a_1, ..., a_j) with the degree they leave, so any number
-    of variables walks.  A prefix that reaches the degree is a finished term,
-    since every later part must be 0; its last part is nonzero, so the prefix
-    is already the trimmed exponent tuple.  The last variable takes the
-    degree that is left when ``ok`` admits it, so the walk never loops over
-    it.  Every composition is a distinct exponent vector, so all
+    ``degree``, as ``stirling._point_sums`` takes them.  The walk has the
+    shape of that function's head walk alone, as no tail is paired here: one
+    explicit stack holds prefixes (a_1, ..., a_j) with the degree they leave,
+    so any number of variables walks.  A prefix that reaches the degree is a
+    finished term, since every later part must be 0; its last part is nonzero,
+    so the prefix is already the trimmed exponent tuple.  The last variable
+    takes the degree that is left when ``ok`` admits it, so the walk never
+    loops over it.  Every composition is a distinct exponent vector, so all
     coefficients are 1.
     """
     ok = [False] * (degree + 1)

@@ -20,7 +20,7 @@ from modsym.stirling import (
     triangle_json_obj,
     triangle_rows,
 )
-from modsym.symfun import elem_sym, modular_sym
+from modsym.symfun import _residue_parts, elem_sym, modular_sym
 
 
 def brute_stirling2(n, k):
@@ -59,6 +59,32 @@ def _reference_s2mod_table(n, k_hi, s, band=False):
             )
         rows.append(row)
     return rows
+
+
+def _reference_point_sums(m, parts, lo, hi):
+    # The composition walk before it paired half-walks: one explicit stack
+    # over all m variables, each finished composition's monomial at (1..m)
+    # added to out[d] on its own
+    out = [0] * (hi + 1)
+    if not m:
+        out[0] = 1
+        return out
+    top = parts[-1]
+    stack = [(1, 0, 1)]
+    while stack:
+        v, deg, prod = stack.pop()
+        floor = lo - (m - v) * top
+        for a in parts:
+            d = deg + a
+            if d > hi:
+                break
+            if d < floor:
+                continue
+            if d == hi or v == m:
+                out[d] += prod * v**a
+            else:
+                stack.append((v + 1, d, prod * v**a))
+    return out
 
 
 def _reference_s1mod_rows(s):
@@ -302,10 +328,29 @@ class TestColumnWalks:
                     assert alone[idx] == value and sum(alone) == value
 
     def test_row_ends_of_a_long_row(self):
-        # one value walks only its own compositions, not all 2^39 of the row
+        # one value walks only its own compositions, not all 2^39 of the row;
+        # at s = 4 a tail not cut at lo would list 5^14 compositions
         assert stirling1_mod(40, 40, 1) == 1
         assert stirling1_mod(40, 1, 1) == factorial(39)
         assert stirling1_mod(40, 39, 1) == 39 * 40 // 2
+        assert stirling1_mod(30, 1, 4) == factorial(29) ** 4
+        assert stirling1_mod(30, 2, 4) == sum(factorial(29) ** 4 // i for i in range(1, 30))
+        assert stirling1_mod(30, 116, 4) == 435
+        assert stirling1_mod(30, 117, 4) == 1
+
+    def test_point_sums_match_the_reference_walk(self):
+        # every degree window of both part kinds: parts at most s, and the
+        # residues 0 and 1 mod s+1 up to hi
+        for m in range(7):
+            for s in range(1, 5):
+                for hi in range(11):
+                    for parts in (range(s + 1), list(_residue_parts(hi, s, 1))):
+                        for lo in range(hi + 1):
+                            out = stirling._point_sums(m, parts, lo, hi)
+                            ref = _reference_point_sums(m, parts, lo, hi)
+                            assert (len(out), out[lo:]) == (len(ref), ref[lo:]), (
+                                m, s, list(parts), lo, hi,
+                            )
 
     def test_row_end_deeper_than_the_recursion_limit(self):
         assert stirling1_mod(1100, 1100, 1) == 1
