@@ -16,6 +16,7 @@ for a program killed by that signal; nothing is printed to stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -275,19 +276,12 @@ def _parse_p_list(raw: str | None):
 
 
 def _cmd_verify(args) -> int:
+    # one flag per Ranges field; a flag not given keeps the profile's bound
     fields = {
-        "n_max": args.n_max,
-        "k_max": args.k_max,
-        "s_max": args.s_max,
-        "p_list": _parse_p_list(args.p_list),
-        "ell": args.ell,
-        "board_max": args.board_max,
+        f.name: getattr(args, f.name) for f in dataclasses.fields(identities.Ranges)
     }
-    ranges = (
-        identities.Ranges(**fields)
-        if any(v is not None for v in fields.values())
-        else None
-    )
+    fields["p_list"] = _parse_p_list(args.p_list)
+    ranges = identities.Ranges(**fields)
     if args.seed_check:
         # the self-test runs each perturbed checker on its own fixed grid
         given = [f for f in ("id", "profile", *fields) if getattr(args, f) is not None]

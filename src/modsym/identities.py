@@ -3,9 +3,11 @@
 Every relation between the algebraic routes (symmetric-function identities,
 triangle recurrences, generating functions, specializations) and the
 brute-force oracles (paths, tilings, partition filters, permutation tuples)
-is catalogued here under a stable id.  ``verify`` checks one identity over a
-parameter grid and reports pass/fail/skip totals with the failing cells in
-grid order; ``verify_all`` sweeps the whole catalog under a bounds profile.
+is catalogued here once, as one ``IdentityInfo`` record: a stable id, its
+grid, checker, profile bounds and erratum, if any; ``list_identities``
+returns the records.  ``verify`` checks one identity over a parameter grid
+and reports pass/fail/skip totals with the failing cells in grid order;
+``verify_all`` sweeps the whole catalog under a bounds profile.
 
 Each cell checker takes the memo, the grid bounds and its cell by name, as
 ``check(ctx, r, **cell)`` with the keys the grid yields (n, k, s, m, p or
@@ -37,7 +39,7 @@ call, so the two sides of a cell still reach different routes.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from math import gcd
 
@@ -161,17 +163,25 @@ class VerifyReport:
 
 @dataclass(frozen=True)
 class IdentityInfo:
-    """Catalog descriptor: stable id, human-readable anchor, grid parameters."""
+    """One catalog entry.  Equality, hash and repr read only its id, anchor,
+    grid parameters and note; the other fields run it: its cell grid, its
+    checker ``check(ctx, ranges, **cell)``, its two profiles' bounds and the
+    printed variant its reports carry, if any."""
 
     id: str
     anchor: str
     parameters: tuple[str, ...]
+    grid: Callable[[Ranges], Iterable[dict]] = field(compare=False, repr=False)
+    check: Callable[..., tuple[object, object]] = field(compare=False, repr=False)
+    quick: Ranges = field(compare=False, repr=False)
+    full: Ranges = field(compare=False, repr=False)
     note: str | None = None
+    erratum: _Erratum | None = field(default=None, compare=False, repr=False)
 
     @property
     def has_errata(self) -> bool:
         """Whether reports on this entry carry an erratum."""
-        return self.id in _ERRATA
+        return self.erratum is not None
 
 
 # ---------------------------------------------------------------------------
@@ -613,51 +623,20 @@ class _Erratum:
     zero_cell: bool = False
 
 
-_ERRATA: dict[str, _Erratum] = {
-    "S2MOD_GF": _Erratum(
-        "prod_{r=1..k} (1 + r*x^s) / (1 - (r*x)^(s+1))",
-        "prod_{r=1..k} (1 + r*x) / (1 - (r*x)^(s+1))",
-        "The numerator variant 1 + r*x^s selects exponents congruent to "
-        "{0, s} mod s+1 and contradicts the defining specialization "
-        "{n,k}^(s) = M_{n-k}^(s)(1..k): at k=1, s=2 it gives 0 at n=2 "
-        "where {2,1}^(2) = 1, and 1 at n=3 where {3,1}^(2) = M_2^(2)(1) "
-        "= 0.  The numerator 1 + r*x reproduces the specialization "
-        "exactly and collapses to the classical column series at s=1.",
-        Ranges(n_max=8, k_max=3, s_max=3),
-        {"linear": False},
-        cell=lambda p: {"n": p["k"] + p["m"], "k": p["k"], "s": p["s"]},
-        zero_cell=True,
-    ),
-    "INV_H": _Erratum(
-        "h_k(x^s) = sum_j (-1)^j h_j M_{k(s+1)-j}^(s)",
-        "h_k(x^(s+1)) = sum_j (-1)^j h_j M_{k(s+1)-j}^(s)",
-        "The alternating h-convolution inverts the series whose t^{(s+1)k} "
-        "coefficients are h_k in the (s+1)-th powers of the variables, so "
-        "the left side must substitute x_i -> x_i^(s+1); with x_i^s it "
-        "already fails at n=1, k=1, s=1.",
-        Ranges(n_max=2, k_max=2, s_max=2),
-        {"lift": 0},
-    ),
-    "INV_E": _Erratum(
-        "e_k = sum_j (-1)^j e_j M_{k-j(s+1)}^(s)",
-        "e_k = sum_j (-1)^j e_j(x^(s+1)) M_{k-j(s+1)}^(s)",
-        "The alternating e-factor multiplies t in steps of s+1, so it must "
-        "be taken in the (s+1)-th powers of the variables; with plain e_j "
-        "the identity already fails at n=1, k=2, s=1.",
-        Ranges(n_max=2, k_max=4, s_max=2),
-        {"powered": False},
-    ),
-}
+def _hooked(ident: IdentityInfo, **hooks) -> IdentityInfo:
+    """``ident`` with its checker run under the given hooks."""
+    return replace(ident, check=partial(ident.check, **hooks))
 
 
-def _erratum_report(key: str, row: _Erratum) -> dict:
+def _erratum_report(ident: IdentityInfo) -> dict:
     # stop at the variant's first failing cell in grid order, or for a
     # zero-cell row at its first failing cell whose corrected side is 0
-    ident = _hooked(key, **row.hooks)
+    row = ident.erratum
+    variant = _hooked(ident, **row.hooks)
     ctx = _Ctx()
     first = zero = None
-    for p in ident.grid(row.ranges):
-        case = _run_cell(ident, ctx, p, row.ranges)
+    for p in variant.grid(row.ranges):
+        case = _run_cell(variant, ctx, p, row.ranges)
         if case.status != "fail":
             continue
         cell = {
@@ -672,7 +651,7 @@ def _erratum_report(key: str, row: _Erratum) -> dict:
         if zero is not None or not row.zero_cell:
             break
     report = {
-        "id": key,
+        "id": ident.id,
         "printed_form": row.printed_form,
         "corrected_form": row.corrected_form,
         "first_failing_cell": first,
@@ -687,32 +666,11 @@ def _erratum_report(key: str, row: _Erratum) -> dict:
 # catalog
 
 
-@dataclass(frozen=True)
-class _Identity:
-    id: str
-    anchor: str
-    parameters: tuple[str, ...]
-    grid: Callable[[Ranges], Iterable[dict]]
-    check: Callable[..., tuple[object, object]]  # (ctx, ranges, **cell)
-    quick: Ranges  # per-identity bounds of the two profiles
-    full: Ranges
-    note: str | None = None
-
-    @property
-    def info(self) -> IdentityInfo:
-        return IdentityInfo(self.id, self.anchor, self.parameters, self.note)
-
-
-def _hooked(key: str, **hooks) -> _Identity:
-    """Catalog entry ``key``, looked up at call time, whose checker runs with
-    the given hooks."""
-    entry = _CATALOG[key]
-    return replace(entry, check=partial(entry.check, **hooks))
-
-
-def _make_catalog() -> dict[str, _Identity]:
-    entries = [
-        _Identity(
+# keyed by each record's own id, in report order
+_CATALOG: dict[str, IdentityInfo] = {
+    info.id: info
+    for info in (
+        IdentityInfo(
             "GF_M",
             "series identity: sum_k M_k^(s)(n) t^k = "
             "prod_{i<=n} (1+x_i t)/(1-(x_i t)^(s+1))",
@@ -722,7 +680,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=3, k_max=6, s_max=2),
             Ranges(n_max=5, k_max=10, s_max=3),
         ),
-        _Identity(
+        IdentityInfo(
             "REC3",
             "variable-count recurrence: M_k^(s)(n) = "
             "sum_{j=0,1 mod s+1} x_n^j M_{k-j}^(s)(n-1)",
@@ -732,7 +690,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=3, k_max=6, s_max=2),
             Ranges(n_max=8, k_max=8, s_max=4),
         ),
-        _Identity(
+        IdentityInfo(
             "REC4",
             "two-term peel for k >= s+1: M_k^(s)(n) = x_n^(s+1) "
             "M_{k-s-1}^(s)(n) + x_n M_{k-1}^(s)(n-1) + M_k^(s)(n-1)",
@@ -742,7 +700,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=3, k_max=6, s_max=2),
             Ranges(n_max=8, k_max=8, s_max=4),
         ),
-        _Identity(
+        IdentityInfo(
             "PATHS",
             "weight sum over admissible lattice paths equals M_k^(s)(n)",
             ("n", "k", "s"),
@@ -751,7 +709,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=4, k_max=8, s_max=3),
         ),
-        _Identity(
+        IdentityInfo(
             "TILINGS",
             "weight sum over admissible tilings equals M_k^(s)(n)",
             ("n", "k", "s"),
@@ -760,7 +718,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=4, k_max=8, s_max=3),
         ),
-        _Identity(
+        IdentityInfo(
             "ALLONES",
             "all-ones evaluation: M_k^(s)(1..1) = "
             "sum_j C(n, k-j(s+1)) C(j+n-1, n-1)",
@@ -770,7 +728,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=4, k_max=6, s_max=2),
             Ranges(n_max=6, k_max=12, s_max=4),
         ),
-        _Identity(
+        IdentityInfo(
             "S2MOD_SPEC",
             "triangle from specialization: {n,k}^(s) = M_{n-k}^(s)(1..k); "
             "polynomial-evaluation and recurrence routes agree",
@@ -780,7 +738,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=8, s_max=2),
             Ranges(n_max=20, s_max=4),
         ),
-        _Identity(
+        IdentityInfo(
             "S2MOD_REC",
             "triangle recurrence for n-k >= s+1: {n,k}^(s) = {n-1,k-1}^(s) "
             "+ k {n-2,k-1}^(s) + k^(s+1) {n-s-1,k}^(s)",
@@ -790,7 +748,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=8, s_max=2),
             Ranges(n_max=20, s_max=4),
         ),
-        _Identity(
+        IdentityInfo(
             "S2MOD_GF",
             "column series: sum_m {k+m,k}^(s) x^m = "
             "prod_{r<=k} (1+r x)/(1-(r x)^(s+1)), corrected numerator",
@@ -799,8 +757,23 @@ def _make_catalog() -> dict[str, _Identity]:
             _check_s2mod_gf,
             Ranges(n_max=8, k_max=3, s_max=2),
             Ranges(n_max=20, k_max=6, s_max=4),
+            erratum=_Erratum(
+                "prod_{r=1..k} (1 + r*x^s) / (1 - (r*x)^(s+1))",
+                "prod_{r=1..k} (1 + r*x) / (1 - (r*x)^(s+1))",
+                "The numerator variant 1 + r*x^s selects exponents "
+                "congruent to {0, s} mod s+1 and contradicts the defining "
+                "specialization {n,k}^(s) = M_{n-k}^(s)(1..k): at k=1, s=2 "
+                "it gives 0 at n=2 where {2,1}^(2) = 1, and 1 at n=3 where "
+                "{3,1}^(2) = M_2^(2)(1) = 0.  The numerator 1 + r*x "
+                "reproduces the specialization exactly and collapses to the "
+                "classical column series at s=1.",
+                Ranges(n_max=8, k_max=3, s_max=3),
+                {"linear": False},
+                cell=lambda p: {"n": p["k"] + p["m"], "k": p["k"], "s": p["s"]},
+                zero_cell=True,
+            ),
         ),
-        _Identity(
+        IdentityInfo(
             "PART_MOD",
             "partitions with d_i = 0,1 mod s+1 are counted by {n,k}^(s)",
             ("n", "k", "s"),
@@ -809,7 +782,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=6, s_max=2),
             Ranges(n_max=10, s_max=4),
         ),
-        _Identity(
+        IdentityInfo(
             "PART_ZERO",
             "partitions with all d_i = 0 mod s+1 are counted by "
             "h_{(n-k)/(s+1)}(1^(s+1)..k^(s+1))",
@@ -819,7 +792,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=6, s_max=2),
             Ranges(n_max=10, s_max=4),
         ),
-        _Identity(
+        IdentityInfo(
             "PS1",
             "first-kind expansion: {n+k,n}^(s) = sum_i "
             "h_{floor(k/(s+1))-i}(1^(s+1)..n^(s+1)) [n+1, n+1-r-i(s+1)], "
@@ -830,7 +803,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=5, k_max=10, s_max=4),
         ),
-        _Identity(
+        IdentityInfo(
             "FERMAT",
             "prime congruence: {n+k,n}^(p-1) = sum_i {n+floor(k/p)-i, n} "
             "[n+1, n+1-(r+ip)] mod p",
@@ -840,7 +813,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=3, k_max=5, p_list=(2, 3)),
             Ranges(n_max=5, k_max=10, p_list=(2, 3, 5)),
         ),
-        _Identity(
+        IdentityInfo(
             "LMOD",
             "residue-ell expansion of M_k^(s,ell)(1..n) via h at powered "
             "points and level-ell first-kind brackets",
@@ -856,7 +829,7 @@ def _make_catalog() -> dict[str, _Identity]:
                 "that reading rather than an arithmetic bug"
             ),
         ),
-        _Identity(
+        IdentityInfo(
             "EVANISH",
             "odd-s alternating convolution: "
             "sum_i (-1)^i E_i^(s) M_{k-i}^(s) = 0",
@@ -866,7 +839,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=2, k_max=4, s_max=2),
             Ranges(n_max=3, k_max=6, s_max=4),
         ),
-        _Identity(
+        IdentityInfo(
             "CONV_HE",
             "convolution route: M_k^(s) = sum_j h_j(x^(s+1)) e_{k-(s+1)j}, "
             "checked against direct enumeration",
@@ -876,7 +849,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=8, k_max=8, s_max=4),
         ),
-        _Identity(
+        IdentityInfo(
             "INV_H",
             "inverse pair: h_k(x^(s+1)) = sum_j (-1)^j h_j "
             "M_{k(s+1)-j}^(s), corrected substitution power",
@@ -885,8 +858,18 @@ def _make_catalog() -> dict[str, _Identity]:
             _check_inv_h,
             Ranges(n_max=2, k_max=3, s_max=2),
             Ranges(n_max=3, k_max=4, s_max=3),
+            erratum=_Erratum(
+                "h_k(x^s) = sum_j (-1)^j h_j M_{k(s+1)-j}^(s)",
+                "h_k(x^(s+1)) = sum_j (-1)^j h_j M_{k(s+1)-j}^(s)",
+                "The alternating h-convolution inverts the series whose "
+                "t^{(s+1)k} coefficients are h_k in the (s+1)-th powers of "
+                "the variables, so the left side must substitute x_i -> "
+                "x_i^(s+1); with x_i^s it already fails at n=1, k=1, s=1.",
+                Ranges(n_max=2, k_max=2, s_max=2),
+                {"lift": 0},
+            ),
         ),
-        _Identity(
+        IdentityInfo(
             "INV_E",
             "inverse pair: e_k = sum_j (-1)^j e_j(x^(s+1)) "
             "M_{k-j(s+1)}^(s), corrected powered e-factor",
@@ -895,8 +878,17 @@ def _make_catalog() -> dict[str, _Identity]:
             _check_inv_e,
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=3, k_max=7, s_max=3),
+            erratum=_Erratum(
+                "e_k = sum_j (-1)^j e_j M_{k-j(s+1)}^(s)",
+                "e_k = sum_j (-1)^j e_j(x^(s+1)) M_{k-j(s+1)}^(s)",
+                "The alternating e-factor multiplies t in steps of s+1, so "
+                "it must be taken in the (s+1)-th powers of the variables; "
+                "with plain e_j the identity already fails at n=1, k=2, s=1.",
+                Ranges(n_max=2, k_max=4, s_max=2),
+                {"powered": False},
+            ),
         ),
-        _Identity(
+        IdentityInfo(
             "INV_ZERO",
             "vanishing convolution: sum_j (-1)^j h_j M_{k-j}^(s) = 0 "
             "for k not divisible by s+1",
@@ -906,7 +898,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=3, k_max=7, s_max=3),
         ),
-        _Identity(
+        IdentityInfo(
             "EH_ME",
             "full convolution match: sum_j e_j h_{k-j} = "
             "sum_j M_j^(s) E_{k-j}^(s)",
@@ -916,7 +908,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=2, k_max=4, s_max=2),
             Ranges(n_max=3, k_max=6, s_max=3),
         ),
-        _Identity(
+        IdentityInfo(
             "S1MOD_DEF",
             "[n+1,k+1]^(s) equals the ((n)!)^s-scaled reciprocal "
             "evaluation of E_k^(s) and the mirrored E_{ns-k}^(s)(1..n)",
@@ -926,7 +918,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=4, s_max=2),
             Ranges(n_max=6, s_max=3),
         ),
-        _Identity(
+        IdentityInfo(
             "S1MOD_REC",
             "order-s recurrence route for [n,k]^(s) agrees with the "
             "bounded-E specialization route",
@@ -936,7 +928,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=5, s_max=2),
             Ranges(n_max=10, s_max=4),
         ),
-        _Identity(
+        IdentityInfo(
             "S1MOD_PART",
             "partitions of a (n(s+1)-k)-board into n blocks with all "
             "d_i <= s are counted by [n+1,k+1]^(s)",
@@ -946,7 +938,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=3, s_max=2, board_max=8),
             Ranges(n_max=5, s_max=3, board_max=12),
         ),
-        _Identity(
+        IdentityInfo(
             "NESTED",
             "nested min-set tuples with k+s-1 total cycles are counted "
             "by [n,k]^(s)",
@@ -956,7 +948,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=3, s_max=2),
             Ranges(n_max=4, s_max=3),
         ),
-        _Identity(
+        IdentityInfo(
             "HIGHER_REC",
             "equal min-set s-tuples of k-cycle permutations are counted "
             "by the level-s triangle [n,k]_s",
@@ -966,7 +958,7 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=4, s_max=2),
             Ranges(n_max=5, s_max=3),
         ),
-        _Identity(
+        IdentityInfo(
             "OMEGA",
             "x^k coefficients of x(x+1^s)(x+2^s)...(x+(n-1)^s) "
             "equal [n,k]_s",
@@ -976,17 +968,13 @@ def _make_catalog() -> dict[str, _Identity]:
             Ranges(n_max=5, s_max=2),
             Ranges(n_max=10, s_max=3),
         ),
-    ]
-    return {e.id: e for e in entries}
-
-
-_CATALOG = _make_catalog()
-
+    )
+}
 
 
 def list_identities() -> list[IdentityInfo]:
-    """The stable catalog, in report order."""
-    return [ident.info for ident in _CATALOG.values()]
+    """The catalog's records, in report order."""
+    return list(_CATALOG.values())
 
 
 def profile_ranges(identity_id: str, profile: str = "quick") -> Ranges:
@@ -1014,7 +1002,8 @@ def check_cell(
 
 
 def _run_cell(
-    ident: _Identity, ctx: _Ctx, params: dict, ranges: Ranges, *, keep_sides: bool = False
+    ident: IdentityInfo, ctx: _Ctx, params: dict, ranges: Ranges, *,
+    keep_sides: bool = False,
 ) -> IdentityCase:
     # the one place a cell is compared; its sides are serialized only when it
     # fails or ``keep_sides`` asks for them
@@ -1028,7 +1017,7 @@ def _run_cell(
     return IdentityCase(ident.id, params, str(lhs), str(rhs), status)
 
 
-def _run_identity(ident: _Identity, ranges: Ranges, ctx: _Ctx) -> VerifyReport:
+def _run_identity(ident: IdentityInfo, ranges: Ranges, ctx: _Ctx) -> VerifyReport:
     cells = list(ident.grid(ranges))
     if not cells:
         raise ValueError(f"empty parameter grid for {ident.id}")
@@ -1036,10 +1025,9 @@ def _run_identity(ident: _Identity, ranges: Ranges, ctx: _Ctx) -> VerifyReport:
     passed = sum(1 for c in results if c.status == "pass")
     failed = [c for c in results if c.status == "fail"]
     skipped = sum(1 for c in results if c.status == "skipped")
-    key = ident.id
-    errata = [_erratum_report(key, _ERRATA[key])] if key in _ERRATA else []
+    errata = [_erratum_report(ident)] if ident.erratum else []
     return VerifyReport(
-        identity=key,
+        identity=ident.id,
         anchor=ident.anchor,
         range=ranges.describe(ident.parameters),
         passed=passed,
@@ -1133,6 +1121,6 @@ def mutation_selftest() -> list[VerifyReport]:
     """
     reports = []
     for name, anchor, key, ranges, hooks in _MUTATIONS:
-        ident = replace(_hooked(key, **hooks), id=name, anchor=anchor)
+        ident = replace(_hooked(_CATALOG[key], **hooks), id=name, anchor=anchor)
         reports.append(_run_identity(ident, ranges, _Ctx()))
     return reports

@@ -9,7 +9,8 @@ structural equality of two polynomials is mathematical equality.
 
 Coefficients are plain Python ints throughout.  Everything this library
 computes is an exact integer identity, so floating point never appears: the
-public constructors refuse a non-int exponent or coefficient (``TypeError``).
+public constructors refuse a non-int exponent or coefficient, a bool
+included (``TypeError``).
 
 ``*`` is the one polynomial product.  When either operand is a single term
 that is a constant c or a power c*x_i^a of one variable, the product scales
@@ -56,7 +57,7 @@ def make_monomial(exponents: Iterable[int]) -> Monomial:
     """Canonicalize an exponent sequence: validate and trim trailing zeros."""
     exps = tuple(exponents)
     for a in exps:
-        if not isinstance(a, int):
+        if type(a) is not int:
             raise TypeError(f"exponent {a!r} in monomial {exps} is not an int")
         if a < 0:
             raise ValueError(f"negative exponent {a} in monomial {exps}")
@@ -67,7 +68,7 @@ def make_monomial(exponents: Iterable[int]) -> Monomial:
 
 
 def _int_coeff(c: int) -> int:
-    if not isinstance(c, int):
+    if type(c) is not int:
         raise TypeError(f"coefficient {c!r} is not an int")
     return c
 
@@ -187,7 +188,7 @@ class Polynomial:
         return Polynomial.constant(other) + (-self)
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
-        if isinstance(other, int):
+        if type(other) is int:
             if other == 0:
                 return Polynomial.zero()
             if other == 1:

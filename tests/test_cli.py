@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -461,6 +462,12 @@ class TestVerify:
          "--id, --profile, --n-max"),
         (["--p-list", "4"], "--p-list"),
         (["--board-max", "3"], "--board-max"),
+    ] + [
+        # every range field's flag, so that a field the CLI drops fails here
+        ([flag, "4"], flag)
+        for flag in (
+            "--" + f.name.replace("_", "-") for f in dataclasses.fields(identities.Ranges)
+        )
     ])
     def test_seed_check_refuses_the_grid_flags(self, capsys, tmp_path, extra, named):
         # the self-test runs fixed grids, so a flag it would ignore is refused

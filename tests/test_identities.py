@@ -67,6 +67,23 @@ class TestCatalog:
         for bounds in (ident.quick, ident.full):
             assert list(next(iter(ident.grid(bounds)))) == names
 
+    def test_list_identities_returns_the_catalog_records(self):
+        for info in list_identities():
+            assert info is identities._CATALOG[info.id]
+            for profile in identities.PROFILES:
+                assert profile_ranges(info.id, profile) is getattr(info, profile)
+            assert info.has_errata == (info.erratum is not None)
+
+    def test_only_the_descriptive_fields_compare_hash_and_print(self):
+        # grid, checker, profiles and erratum run the entry but do not name it
+        for info in list_identities():
+            hooked = dataclasses.replace(info, check=lambda ctx, r, **cell: (0, 0))
+            assert hooked == info and hash(hooked) == hash(info)
+            assert repr(hooked) == repr(info) == (
+                f"IdentityInfo(id={info.id!r}, anchor={info.anchor!r}, "
+                f"parameters={info.parameters!r}, note={info.note!r})"
+            )
+
     def test_profiles_cover_catalog(self):
         for info in list_identities():
             assert profile_ranges(info.id, "quick") is not None

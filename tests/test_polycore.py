@@ -92,7 +92,7 @@ class TestMonomial:
             make_monomial((1, -1))
 
     def test_rejects_non_int_exponents(self):
-        for exps in ((0.5, 1), (1.5,), (1, "2")):
+        for exps in ((0.5, 1), (1.5,), (1, "2"), (True, 2), (1, False)):
             with pytest.raises(TypeError, match="is not an int"):
                 make_monomial(exps)
 
@@ -178,6 +178,12 @@ class TestPolynomial:
             lambda: Polynomial.monomial((1,), 2.0),
             lambda: Polynomial.constant(1.5),
             lambda: TruncatedSeries([1.5, 2]),
+            # bool subclasses int, but is no coefficient or exponent
+            lambda: Polynomial({(1,): True}),
+            lambda: Polynomial.monomial((True, 2)),
+            lambda: Polynomial.monomial((1,), True),
+            lambda: Polynomial.constant(True),
+            lambda: TruncatedSeries([False, 2]),
         ):
             with pytest.raises(TypeError, match="is not an int"):
                 build()
@@ -197,14 +203,16 @@ class TestPolynomial:
         assert Polynomial.monomial((2, 1), 0) == Polynomial.zero()
 
     def test_only_ints_mix_with_polynomials(self):
-        # an int on either side is a constant; anything else raises on both
+        # an int on either side is a constant; anything else, a bool
+        # included, raises on both
         assert 3 - X1 == Polynomial({(): 3, (1,): -1}) == -(X1 - 3)
-        for other in (1.5, "a", None):
+        for other in (1.5, "a", None, True, False):
             for op in (
                 lambda: other - X1,
                 lambda: X1 - other,
                 lambda: other + X1,
                 lambda: X1 * other,
+                lambda: other * X1,
             ):
                 with pytest.raises(TypeError):
                     op()
