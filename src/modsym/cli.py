@@ -178,6 +178,14 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _ints(flag: str, raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in raw.split(","))
+    except ValueError:
+        msg = f"{flag} must be comma-separated integers, got {raw!r}"
+        raise ValueError(msg) from None
+
+
 def _parse_vars(raw: str):
     if raw.startswith("symbolic:"):
         try:
@@ -186,11 +194,7 @@ def _parse_vars(raw: str):
             raise ValueError(f"bad symbolic variable count in {raw!r}") from None
         _at_least("symbolic variable count", n, 0)
         return n, None
-    try:
-        point = tuple(int(tok) for tok in raw.split(","))
-    except ValueError:
-        msg = f"--vars must be comma-separated integers, got {raw!r}"
-        raise ValueError(msg) from None
+    point = _ints("--vars", raw)
     return len(point), point
 
 
@@ -265,22 +269,13 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _parse_p_list(raw: str | None):
-    if raw is None:
-        return None
-    try:
-        return tuple(int(tok) for tok in raw.split(","))
-    except ValueError:
-        msg = f"--p-list must be comma-separated integers, got {raw!r}"
-        raise ValueError(msg) from None
-
-
 def _cmd_verify(args) -> int:
     # one flag per Ranges field; a flag not given keeps the profile's bound
     fields = {
         f.name: getattr(args, f.name) for f in dataclasses.fields(identities.Ranges)
     }
-    fields["p_list"] = _parse_p_list(args.p_list)
+    if args.p_list is not None:
+        fields["p_list"] = _ints("--p-list", args.p_list)
     ranges = identities.Ranges(**fields)
     if args.seed_check:
         # the self-test runs each perturbed checker on its own fixed grid

@@ -25,13 +25,18 @@ admissibility table (``_admissible``): nxt[g] is the least admissible entry
 >= g.  Below a node whose last block minimum is m and whose next element is
 i+1, the next entry fixed is an opening i-m..n-m-1 or the closing n-m, so
 the node is cut when nxt[i-m] > n-m ("the gap already exceeds s" for
-d_i <= s).  No walk here recurses.  ``SetPartition`` and
-``CyclePermutation`` share one validation body, ``_Parts``, and
-``LatticePath`` and ``Tiling`` another, ``_LevelWord``.  Every generator
-builds what it yields through ``_trusted``, which skips the check its values
-pass by construction; every object a caller builds is checked.  All
-permutation families read S_n from ``_all_cycle_perms`` and build an object
-only for a permutation they yield.
+d_i <= s).  No walk here recurses.  Every other walk is a prefix stack: the
+step words, and the one nested rule that the nested generator and count
+share.  A stack entry is a prefix with its state, and its children are
+pushed in reverse so that they pop in canonical order.  ``_rgs_placements`` is not a
+prefix stack: it keeps one iterator of choices per level, because as a stack
+of children (2.2-5x) or a list of frames (8-20%) it measured slower on the
+partition counts.  ``SetPartition`` and ``CyclePermutation`` share one
+validation body, ``_Parts``, and ``LatticePath`` and ``Tiling`` another,
+``_LevelWord``.  Every generator builds what it yields through ``_trusted``,
+which skips the check its values pass by construction; every object a caller
+builds is checked.  All permutation families read S_n from
+``_all_cycle_perms`` and build an object only for a permutation they yield.
 """
 
 from __future__ import annotations
@@ -508,8 +513,9 @@ def _min_set_tally(n: int) -> Counter:
 def count_equal_minset_tuples(n: int, k: int, s: int) -> int:
     """s-tuples of k-cycle permutations of [n] sharing one min-set.
 
-    Computed as the power sum of min-set class sizes over the enumerated
-    k-cycle permutations, so the work stays linear in the family size.
+    Computed as the power sum of the min-set class sizes of the k-cycle
+    permutations.  The classes come from ``_min_set_tally(n)``, which maps
+    all n! permutations of [n] whatever k is.
     """
     if n < k or k < 0:
         raise ValueError(f"need n >= k >= 0, got ({n}, {k})")
@@ -562,26 +568,21 @@ def _nested_walk(entries, n: int, target: int, s: int) -> Iterator[tuple]:
     # The one nested admission rule, over (item, min-set) entries: the
     # tuples of s items whose min-sets nest downward and hold target minima
     # in all.  [n] stands before the first entry, and each later entry keeps
-    # back one minimum at least.  The stack holds, per tuple entry, (last
-    # min-set, minima used) before it and the entries left to try there.
-    entries = list(entries)
-    chosen = [None] * s
-    state = [(frozenset(range(1, n + 1)), 0)] * (s + 1)
-    todo = [iter(entries)] * (s + 1)
-    depth = 0
-    while depth >= 0:
-        prev, used = state[depth]
+    # back one minimum at least.  A stack entry is (items chosen, last
+    # min-set, minima used); the children are pushed last entry first, so
+    # the tuples pop in the order of the entries.
+    entries = list(entries)[::-1]
+    stack = [((), frozenset(range(1, n + 1)), 0)]
+    while stack:
+        chosen, prev, used = stack.pop()
+        depth = len(chosen)
         if depth == s:
             if used == target:
-                yield tuple(chosen)
-            depth -= 1
+                yield chosen
             continue
         cap = target - (s - depth - 1)
-        for c, m in todo[depth]:
-            if m <= prev and used + len(m) <= cap:
-                chosen[depth] = c
-                depth += 1
-                state[depth], todo[depth] = (m, used + len(m)), iter(entries)
-                break
-        else:
-            depth -= 1
+        stack.extend(
+            (chosen + (c,), m, used + len(m))
+            for c, m in entries
+            if m <= prev and used + len(m) <= cap
+        )

@@ -32,15 +32,17 @@ in the report's ``errata`` field and is never asserted.
 Grid cells are independent pure computations.  They run one after another
 in grid order and share one memo of library calls per verify call;
 ``verify_all`` keeps one memo for its whole sweep, so an identity reads the
-values another has already computed.  A memo only ever replays a library
-call, so the two sides of a cell still reach different routes.
+values another has already computed.  The memo is a ``functools.cache``
+made fresh for each call (a verify, a sweep, a ``check_cell``, an erratum
+probe or a mutation run), never a global one.  A memo only ever replays a
+library call, so the two sides of a cell still reach different routes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from math import gcd
 
 from modsym import enumeration, stirling, symfun
@@ -188,23 +190,15 @@ class IdentityInfo:
 # shared computation context (per verify or verify_all call; caches are
 # never global)
 
+# The memo of library calls, ``ctx(fn, *args, **kwargs)``: a
+# ``functools.cache`` keyed by the function and its arguments, keywords
+# included.  Call sites pass the function by its module-level name, looked up
+# at call time, so a rebinding of that name (as by a tracer) is seen here too.
+_Ctx = Callable[..., object]
 
-class _Ctx:
-    """Memo of library calls: one dict keyed by (function, arguments).
 
-    Call sites pass the function by its module-level name, looked up at call
-    time, so a rebinding of that name (as by a tracer) is seen here too.
-    """
-
-    def __init__(self):
-        self._memo: dict = {}
-
-    def __call__(self, fn: Callable, *args, **kwargs):
-        key = (fn, args, *kwargs.items()) if kwargs else (fn, args)
-        v = self._memo.get(key)
-        if v is None:
-            v = self._memo[key] = fn(*args, **kwargs)
-        return v
+def _memo() -> _Ctx:
+    return cache(lambda fn, *args, **kwargs: fn(*args, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +331,8 @@ def _weight_sum(objects) -> Polynomial:
 
 
 def _check_weight_sum(gen: str, ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
-    # the generator is looked up by name at call time, as _Ctx's call sites
-    # are, so that a rebinding of enumeration.gen_* (a tracer) sees the call
+    # the generator is looked up by name at call time, as the memo's call
+    # sites are, so a rebinding of enumeration.gen_* (a tracer) sees the call
     lhs = _weight_sum(getattr(enumeration, gen)(n, k, s))
     rhs = ctx(modular_sym, n, k, s)
     return lhs, rhs
@@ -633,7 +627,7 @@ def _erratum_report(ident: IdentityInfo) -> dict:
     # zero-cell row at its first failing cell whose corrected side is 0
     row = ident.erratum
     variant = _hooked(ident, **row.hooks)
-    ctx = _Ctx()
+    ctx = _memo()
     first = zero = None
     for p in variant.grid(row.ranges):
         case = _run_cell(variant, ctx, p, row.ranges)
@@ -998,7 +992,7 @@ def check_cell(
     ident = _CATALOG[_normalize_id(identity_id)]
     base = ident.quick
     effective = ranges.merged_over(base) if ranges is not None else base
-    return _run_cell(ident, _Ctx(), params, effective, keep_sides=True)
+    return _run_cell(ident, _memo(), params, effective, keep_sides=True)
 
 
 def _run_cell(
@@ -1055,7 +1049,7 @@ def verify(
     key = _normalize_id(identity_id)
     base = profile_ranges(key, profile)
     effective = ranges.merged_over(base) if ranges is not None else base
-    return _run_identity(_CATALOG[key], effective, _ctx or _Ctx())
+    return _run_identity(_CATALOG[key], effective, _ctx or _memo())
 
 
 def verify_all(
@@ -1064,7 +1058,7 @@ def verify_all(
     """Run every catalog entry under the given profile, in catalog order,
     with one memo of library calls for the whole sweep.  An unknown profile
     is refused by the first ``verify``, before any cell runs."""
-    ctx = _Ctx()
+    ctx = _memo()
     return [verify(key, ranges, profile, _ctx=ctx) for key in _CATALOG]
 
 
@@ -1122,5 +1116,5 @@ def mutation_selftest() -> list[VerifyReport]:
     reports = []
     for name, anchor, key, ranges, hooks in _MUTATIONS:
         ident = replace(_hooked(_CATALOG[key], **hooks), id=name, anchor=anchor)
-        reports.append(_run_identity(ident, ranges, _Ctx()))
+        reports.append(_run_identity(ident, ranges, _memo()))
     return reports

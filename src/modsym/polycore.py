@@ -9,16 +9,15 @@ structural equality of two polynomials is mathematical equality.
 
 Coefficients are plain Python ints throughout.  Everything this library
 computes is an exact integer identity, so floating point never appears: the
-public constructors refuse a non-int exponent or coefficient, a bool
-included (``TypeError``).
+public constructors, ``variable`` and ``substitute_power`` refuse a non-int
+exponent, coefficient, index or power, a bool included (``TypeError``).
 
 ``*`` is the one polynomial product.  When either operand is a single term
 that is a constant c or a power c*x_i^a of one variable, the product scales
 the other operand's coefficients by c and shifts exponent i of each of its
 terms by a.  That shift is injective, so no two terms merge or cancel and
 the result stays canonical.  Any other pair of operands, a single term over
-two or more variables included, runs the general term-by-term loop.  The
-power of a single term c*m is c^e times m with its exponents scaled by e.
+two or more variables included, runs the general term-by-term loop.
 
 Serialized term order is graded lexicographic, largest degree first and
 lexicographically larger exponent vector first within a degree.  All printed
@@ -67,10 +66,12 @@ def make_monomial(exponents: Iterable[int]) -> Monomial:
     return exps[:end]
 
 
-def _int_coeff(c: int) -> int:
-    if type(c) is not int:
-        raise TypeError(f"coefficient {c!r} is not an int")
-    return c
+def _an_int(name: str, value) -> int:
+    # a bool is refused too: it subclasses int, but is no coefficient, index
+    # or power
+    if type(value) is not int:
+        raise TypeError(f"{name} {value!r} is not an int")
+    return value
 
 
 class Polynomial:
@@ -83,7 +84,7 @@ class Polynomial:
         if terms:
             for exps, coeff in terms.items():
                 mono = make_monomial(exps)
-                c = acc.get(mono, 0) + _int_coeff(coeff)
+                c = acc.get(mono, 0) + _an_int("coefficient", coeff)
                 if c:
                     acc[mono] = c
                 elif mono in acc:
@@ -107,17 +108,18 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: int) -> "Polynomial":
-        return cls._raw({(): c} if _int_coeff(c) else {})
+        return cls._raw({(): c} if _an_int("coefficient", c) else {})
 
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
         """The polynomial x_index (1-based variable position)."""
+        _an_int("variable index", index)
         _at_least("variable index", index, 1)
         return cls._raw({(0,) * (index - 1) + (1,): 1})
 
     @classmethod
     def monomial(cls, exponents: Iterable[int], coeff: int = 1) -> "Polynomial":
-        c = _int_coeff(coeff)
+        c = _an_int("coefficient", coeff)
         mono = make_monomial(exponents)  # checked for a zero coefficient too
         return cls._raw({mono: c} if c else {})
 
@@ -229,14 +231,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"polynomial power must be a non-negative int, got {n}")
-        if n == 0:
-            return Polynomial.one()
-        if len(self._terms) == 1:
-            # (c*m)^n is c^n times m with every exponent scaled by n
-            ((mono, c),) = self._terms.items()
-            return Polynomial._raw({tuple(a * n for a in mono): c**n})
         result = Polynomial.one()
         for _ in range(n):
             result = result * self
@@ -263,6 +259,7 @@ class Polynomial:
 
     def substitute_power(self, m: int) -> "Polynomial":
         """Substitute x_i -> x_i**m for every variable (m >= 1)."""
+        _an_int("substitution power", m)
         _at_least("substitution power", m, 1)
         if m == 1:
             return self

@@ -160,7 +160,7 @@ def _point_sums(m: int, parts: Sequence[int], lo: int, hi: int) -> list[int]:
 def _stirling2_mod_column(k: int, s: int, depth: int) -> list[int]:
     # out[d] = M_d^(s)(1..k) = {k+d, k}^(s) for d = 0..depth: parts congruent
     # to 0 or 1 mod s+1
-    return _point_sums(k, list(_residue_parts(depth, s, 1)), 0, depth)
+    return _point_sums(k, _residue_parts(depth, s, 1), 0, depth)
 
 
 def stirling2_mod(n: int, k: int, s: int, method: str = "recurrence") -> int:

@@ -55,16 +55,10 @@ class SymFunParams:
             raise ValueError(f"ell must satisfy 0 <= ell <= s, got {self.ell}")
 
 
-def _residue_parts(limit: int, s: int, ell: int):
-    # Admissible part sizes congruent to 0 or ell mod s+1, ascending.
-    # Emits only admissible values; never filters a full range.
-    step = s + 1
-    base = 0
-    while base <= limit:
-        yield base
-        if ell and base + ell <= limit:
-            yield base + ell
-        base += step
+def _residue_parts(limit: int, s: int, ell: int) -> list[int]:
+    # Admissible part sizes congruent to 0 or ell mod s+1, ascending: two
+    # ranges, never a filter over a full one.
+    return sorted({*range(0, limit + 1, s + 1), *range(ell, limit + 1, s + 1)})
 
 
 def _composition_poly(num_vars: int, degree: int, parts: Sequence[int]) -> Polynomial:
@@ -140,7 +134,7 @@ def bounded_elem_sym(n: int, k: int, s: int) -> Polynomial:
 def lmodular_sym(n: int, k: int, s: int, ell: int) -> Polynomial:
     """M_k^(s,ell): compositions of k with every part congruent to 0 or ell mod s+1."""
     SymFunParams(n, k, s, ell)
-    return _composition_poly(n, k, list(_residue_parts(k, s, ell)))
+    return _composition_poly(n, k, _residue_parts(k, s, ell))
 
 
 def _modular_rows(xs: Sequence, one, depth: int, s: int, total=None, ell=1):

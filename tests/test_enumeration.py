@@ -176,6 +176,32 @@ def _recursive_nested_tuples(n, k, s):
     yield from rec(0, [], frozenset(range(1, n + 1)), 0)
 
 
+def _reference_nested_walk(entries, n, target, s):
+    # The nested walk before it became a prefix stack: per tuple entry, the
+    # state before it and an iterator over the entries left to try there.
+    entries = list(entries)
+    chosen = [None] * s
+    state = [(frozenset(range(1, n + 1)), 0)] * (s + 1)
+    todo = [iter(entries)] * (s + 1)
+    depth = 0
+    while depth >= 0:
+        prev, used = state[depth]
+        if depth == s:
+            if used == target:
+                yield tuple(chosen)
+            depth -= 1
+            continue
+        cap = target - (s - depth - 1)
+        for c, m in todo[depth]:
+            if m <= prev and used + len(m) <= cap:
+                chosen[depth] = c
+                depth += 1
+                state[depth], todo[depth] = (m, used + len(m)), iter(entries)
+                break
+        else:
+            depth -= 1
+
+
 def _reference_nested_count(n, k, s):
     # The nested count before it read the nested walk: one pass over the s
     # tuple entries, counting prefixes by (last min-set, minima used).
@@ -784,6 +810,23 @@ class TestMinSetTuples:
                         for tup in gen_nested_tuples(n, k, s)
                     ]
                     assert got == list(_recursive_nested_tuples(n, k, s)), (n, k, s)
+
+    def test_nested_walk_matches_the_reference_walk(self):
+        # both entry kinds: the permutations with their min-sets (the
+        # generator's), and the min-set classes with their sizes (the count's)
+        for n in range(1, 6):
+            cycles = enumeration._all_cycle_perms(n)
+            perms = [(c, enumeration._min_set(c)) for c in cycles]
+            classes = [(size, m) for m, size in enumeration._min_set_tally(n).items()]
+            for s in range(1, 4 if n < 5 else 3):
+                for k in range(1 - s, (n - 1) * s + 2):
+                    target = enumeration._nested_target(n, k, s)
+                    if target is None:
+                        continue
+                    for entries in (perms, classes):
+                        got = list(enumeration._nested_walk(entries, n, target, s))
+                        want = list(_reference_nested_walk(entries, n, target, s))
+                        assert got == want, (n, k, s)
 
     def test_nested_paper_tuples_n3_k4_s3(self):
         tuples = list(gen_nested_tuples(3, 4, 3))

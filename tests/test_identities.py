@@ -3,6 +3,7 @@ import inspect
 import itertools
 import json
 import sys
+from collections import Counter
 
 import pytest
 
@@ -267,6 +268,24 @@ class TestVerify:
         monkeypatch.setattr(stirling, "triangle_rows", counted)
         verify_all("quick")
         assert sorted(calls) == [1, 1, 2, 2]
+
+    @pytest.mark.parametrize("key", ["REC3", "REC4"])
+    def test_memo_computes_each_call_once_per_verify(self, monkeypatch, key):
+        # the memo's call sites look modular_sym up at call time, so the
+        # wrapper sees every call that reaches the library
+        calls = Counter()
+        modular_sym = identities.modular_sym
+
+        def counted(*args):
+            calls[args] += 1
+            return modular_sym(*args)
+
+        monkeypatch.setattr(identities, "modular_sym", counted)
+        verify(key)
+        assert calls and set(calls.values()) == {1}
+        once = set(calls)
+        verify(key)  # a fresh memo: no memo outlives its verify call
+        assert calls == Counter(dict.fromkeys(once, 2))
 
 
 class TestErrata:

@@ -147,6 +147,24 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             X1.substitute_power(0)
 
+    def test_index_and_powers_take_only_ints(self):
+        # bool subclasses int, but is no index or power; a float power would
+        # put a float exponent in a canonical polynomial
+        for build, msg in (
+            (lambda: Polynomial.variable(True), "variable index True"),
+            (lambda: Polynomial.variable(1.0), "variable index 1.0"),
+            (lambda: X1.substitute_power(1.5), "substitution power 1.5"),
+            (lambda: X1.substitute_power(True), "substitution power True"),
+        ):
+            with pytest.raises(TypeError) as err:
+                build()
+            assert str(err.value) == f"{msg} is not an int"
+        for power in (True, False, 2.0):
+            with pytest.raises(ValueError) as err:
+                X1**power
+            want = f"polynomial power must be a non-negative int, got {power}"
+            assert str(err.value) == want
+
     def test_text_form(self):
         assert str(Polynomial.zero()) == "0"
         assert str(modular_sym(3, 3, 2)) == "x1^3 + x1*x2*x3 + x2^3 + x3^3"
@@ -258,17 +276,20 @@ def test_mul_by_one_variable_power_shifts_exponents(p, c, i, a):
     assert dict((term * p).terms) == expected
 
 
-def _pow_ref(p, e):
-    # reference: e products from Polynomial.one()
-    result = Polynomial.one()
-    for _ in range(e):
-        result = result * p
-    return result
+def _pow_ref(term, e):
+    # reference for one term c*m: c^e times m with every exponent scaled by e
+    ((mono, c),) = term.terms.items()
+    return {make_monomial(a * e for a in mono): c**e}
 
 
-@given(p=st.one_of(polys, one_terms), e=st.integers(0, 5))
-def test_pow_matches_repeated_product(p, e):
-    assert dict((p**e).terms) == dict(_pow_ref(p, e).terms)
+@given(term=one_terms, e=st.integers(0, 5))
+def test_pow_of_one_term_is_closed_form(term, e):
+    assert dict((term**e).terms) == _pow_ref(term, e)
+
+
+@given(p=polys, e=st.integers(0, 4), v=points)
+def test_pow_evaluates_to_the_power_of_the_value(p, e, v):
+    assert (p**e).evaluate(v) == p.evaluate(v) ** e
 
 
 @given(a=polys, b=polys, c=polys)

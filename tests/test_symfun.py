@@ -108,6 +108,14 @@ class TestCompositionWalk:
                         want = _reference_composition_poly(num_vars, degree, parts)
                         assert got.terms == want.terms, (num_vars, degree, parts)
 
+    def test_residue_parts_are_the_filtered_range(self):
+        for limit in range(31):
+            for s in range(1, 6):
+                for ell in range(s + 1):
+                    want = [a for a in range(limit + 1) if a % (s + 1) in (0, ell)]
+                    got = list(symfun._residue_parts(limit, s, ell))
+                    assert got == want, (limit, s, ell)
+
 
 class TestElemComp:
     def test_e2_three_vars(self):
