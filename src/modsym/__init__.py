@@ -49,7 +49,6 @@ from modsym.polycore import (
     series_mul,
 )
 from modsym.stirling import (
-    StirlingQuery,
     omega_poly,
     stirling1,
     stirling1_higher,
@@ -64,7 +63,6 @@ from modsym.stirling import (
     triangle_rows,
 )
 from modsym.symfun import (
-    SymFunParams,
     bounded_elem_sym,
     comp_sym,
     elem_sym,

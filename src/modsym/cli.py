@@ -29,6 +29,9 @@ from modsym.polycore import _at_least
 
 _EVAL_FUNCTIONS = ("M", "E", "e", "h", "Ml")
 _CLASSICAL = ("stirling2", "stirling1")
+# the integer flags of enumerate, in the order --help lists them and the
+# JSON params echo them
+_ENUM_FLAGS = ("n", "k", "s", "board", "blocks")
 
 
 def _word_json(key):
@@ -108,11 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="stream a combinatorial family")
     p_enum.add_argument("--family", required=True, choices=_ENUM_FAMILIES)
-    p_enum.add_argument("--n", type=int)
-    p_enum.add_argument("--k", type=int)
-    p_enum.add_argument("--s", type=int)
-    p_enum.add_argument("--board", type=int)
-    p_enum.add_argument("--blocks", type=int)
+    for flag in _ENUM_FLAGS:
+        p_enum.add_argument(f"--{flag}", type=int)
     p_enum.add_argument("--format", choices=("text", "json"), default="text")
     p_enum.add_argument("--output")
 
@@ -209,7 +209,7 @@ def _cmd_eval(args) -> int:
         # e is E and h is M at s = 1, and only Ml reads ell
         s = args.s if args.function in ("M", "E", "Ml") else 1
         ell = args.ell if args.function == "Ml" else 1
-        symfun.SymFunParams(n, args.k, s, ell)
+        symfun._check_params(n, args.k, s, ell)
         if point is not None:
             # a point reads the generating rule cut at degree k: no polynomial
             if args.function in ("E", "e"):
@@ -244,9 +244,7 @@ def _cmd_enumerate(args) -> int:
         raise ValueError(f"family {args.family!r} requires {', '.join(missing)}")
     gen = getattr(enumeration, gen_name)(*values)
     params = {
-        key: getattr(args, key)
-        for key in ("n", "k", "s", "board", "blocks")
-        if getattr(args, key) is not None
+        key: getattr(args, key) for key in _ENUM_FLAGS if getattr(args, key) is not None
     }
     count = 0
     with _destination(args.output) as fh:

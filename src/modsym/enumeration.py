@@ -289,25 +289,11 @@ def partitions_from_composition(a: Sequence[int]) -> list[SetPartition]:
     if not a:
         raise ValueError("composition must have at least one part")
     _at_least("composition parts", a, 0)
-    n = len(a)
-    minima = [1]
-    for i in range(n - 1):
-        minima.append(minima[-1] + a[i] + 1)
-    total = n + sum(a)
-    free: list[tuple[int, int]] = []  # (element, number of open blocks)
-    for i, m in enumerate(minima, start=1):
-        upper = minima[i] - 1 if i < n else total
-        for e in range(m + 1, upper + 1):
-            free.append((e, i))
-    # product varies the last free element fastest, and the minima fix their
-    # entries, so the strings come out in lexicographic order
-    result = []
-    for choices in product(*(range(c) for _, c in free)):
-        blocks = [[m] for m in minima]
-        for (e, _), c in zip(free, choices):
-            blocks[c].append(e)
-        result.append(SetPartition._trusted(tuple(tuple(b) for b in blocks)))
-    return result
+    # entry i of the growth string opens block i, and each of the a_i entries
+    # after it picks one of blocks 0..i; product varies the last entry
+    # fastest, so the strings come out in lexicographic order
+    pools = [pool for i, ai in enumerate(a) for pool in ((i,), *[range(i + 1)] * ai)]
+    return [_partition_from_rgs(w) for w in product(*pools)]
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from modsym.enumeration import (
     count_partitions_mod,
     count_partitions_zeromod,
 )
-from modsym.polycore import Polynomial, _one_of
+from modsym.polycore import Polynomial, _at_least, _one_of
 from modsym.stirling import (
     omega_poly,
     stirling1,
@@ -228,6 +228,7 @@ def ps1_rhs(n: int, k: int, s: int, *, _shift: int = 0) -> int:
 
 def fermat_rhs(n: int, k: int, p: int) -> int:
     """sum_i {n+floor(k/p)-i, n} * [n+1, n+1-(r+ip)] with r = k mod p."""
+    _at_least("p", p, 2)
     r = k % p
     hi = min((n - r) // p, k // p)
     total = 0

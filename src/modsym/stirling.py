@@ -50,7 +50,6 @@ each other.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from io import StringIO
 from itertools import count, islice
 import csv
@@ -68,21 +67,6 @@ TRIANGLE_FAMILIES = (
 )
 
 STIRLING2_MOD_METHODS = ("specialization", "recurrence")
-
-
-@dataclass(frozen=True)
-class StirlingQuery:
-    """A (family, n, k, s) cell request; s is ignored by the classical families."""
-
-    n: int
-    k: int
-    family: str
-    s: int = 1
-
-    def __post_init__(self):
-        _one_of("family", self.family, TRIANGLE_FAMILIES)
-        _at_least("n and k", (self.n, self.k), 0)
-        _at_least("s", self.s, 1)
 
 
 def _rows_stirling2() -> Iterator[list[int]]:
@@ -260,7 +244,8 @@ def triangle_rows(family: str, s: int, n_max: int) -> list[list[int]]:
     full range where values can be nonzero (at s = 1 this is the classical
     shape with a zero k = 0 column).
     """
-    StirlingQuery(0, 0, family, s)
+    _one_of("family", family, TRIANGLE_FAMILIES)
+    _at_least("s", s, 1)
     _at_least("n_max", n_max, 0)
     if family == "stirling2mod":
         cols = list(_modular_rows(range(1, n_max + 1), 1, n_max, s, total=n_max))

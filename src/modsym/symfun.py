@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -38,21 +37,13 @@ from modsym.polycore import Polynomial, TruncatedSeries, _at_least, _cauchy, _on
 MODULAR_METHODS = ("enumeration", "recurrence", "convolution")
 
 
-@dataclass(frozen=True)
-class SymFunParams:
-    """Validated parameter bundle for the symmetric-function families."""
-
-    n: int
-    k: int
-    s: int = 1
-    ell: int = 1
-
-    def __post_init__(self):
-        _at_least("n", self.n, 0)
-        _at_least("k", self.k, 0)
-        _at_least("s", self.s, 1)
-        if not 0 <= self.ell <= self.s:
-            raise ValueError(f"ell must satisfy 0 <= ell <= s, got {self.ell}")
+def _check_params(n: int, k: int, s: int = 1, ell: int = 1) -> None:
+    # the domain of every family here, checked in this order
+    _at_least("n", n, 0)
+    _at_least("k", k, 0)
+    _at_least("s", s, 1)
+    if not 0 <= ell <= s:
+        raise ValueError(f"ell must satisfy 0 <= ell <= s, got {ell}")
 
 
 def _residue_parts(limit: int, s: int, ell: int) -> list[int]:
@@ -110,13 +101,13 @@ def _index_tuple_poly(index_tuples) -> Polynomial:
 
 def elem_sym(n: int, k: int) -> Polynomial:
     """Elementary symmetric polynomial e_k(x_1..x_n); 0 when k > n, 1 when k = 0."""
-    SymFunParams(n, k)
+    _check_params(n, k)
     return _index_tuple_poly(combinations(range(n), k))
 
 
 def comp_sym(n: int, k: int) -> Polynomial:
     """Complete homogeneous symmetric polynomial h_k(x_1..x_n); h_0 = 1."""
-    SymFunParams(n, k)
+    _check_params(n, k)
     return _index_tuple_poly(combinations_with_replacement(range(n), k))
 
 
@@ -125,7 +116,7 @@ def bounded_elem_sym(n: int, k: int, s: int) -> Polynomial:
 
     Zero when k > n*s; equals elem_sym(n, k) at s = 1.
     """
-    SymFunParams(n, k, s)
+    _check_params(n, k, s)
     if k > n * s:
         return Polynomial.zero()
     return _composition_poly(n, k, range(min(k, s) + 1))
@@ -133,7 +124,7 @@ def bounded_elem_sym(n: int, k: int, s: int) -> Polynomial:
 
 def lmodular_sym(n: int, k: int, s: int, ell: int) -> Polynomial:
     """M_k^(s,ell): compositions of k with every part congruent to 0 or ell mod s+1."""
-    SymFunParams(n, k, s, ell)
+    _check_params(n, k, s, ell)
     return _composition_poly(n, k, _residue_parts(k, s, ell))
 
 
@@ -204,7 +195,7 @@ def _modular_conv(n: int, k: int, s: int, h_power: int) -> Polynomial:
 
 def modular_sym(n: int, k: int, s: int, method: str = "enumeration") -> Polynomial:
     """M_k^(s)(x_1..x_n) by the requested route; all routes agree canonically."""
-    SymFunParams(n, k, s)
+    _check_params(n, k, s)
     _one_of("method", method, MODULAR_METHODS)
     if method == "enumeration":
         return lmodular_sym(n, k, s, 1)
@@ -238,7 +229,7 @@ def modular_series(n: int, s: int, degree_bound: int) -> TruncatedSeries:
     coefficient of factor i is x_i^m when m is congruent to 0 or 1 mod s+1
     and zero otherwise.
     """
-    SymFunParams(n, 0, s)
+    _check_params(n, 0, s)
     _at_least("degree bound", degree_bound, 0)
     variables = [Polynomial.variable(i) for i in range(1, n + 1)]
     return TruncatedSeries(_series_product(variables, s, degree_bound), degree_bound)
@@ -252,7 +243,7 @@ def modular_all_ones(n: int, k: int, s: int, *, _shift: int = 0) -> int:
     A nonzero ``_shift`` perturbs the second binomial to C(j+n-1+_shift, n-1);
     only the verifier's mutation self-test sets it.
     """
-    SymFunParams(n, k, s)
+    _check_params(n, k, s)
     _at_least("n", n, 1)
     total = 0
     for j in range(k // (s + 1) + 1):

@@ -202,6 +202,29 @@ def _reference_nested_walk(entries, n, target, s):
             depth -= 1
 
 
+def _reference_partitions_from_composition(a):
+    # The fiber builder before it read growth strings: the block minima, the
+    # free elements with their number of open blocks, and the blocks built
+    # from each product of choices.
+    n = len(a)
+    minima = [1]
+    for i in range(n - 1):
+        minima.append(minima[-1] + a[i] + 1)
+    total = n + sum(a)
+    free = []
+    for i, m in enumerate(minima, start=1):
+        upper = minima[i] - 1 if i < n else total
+        for e in range(m + 1, upper + 1):
+            free.append((e, i))
+    result = []
+    for choices in product(*(range(c) for _, c in free)):
+        blocks = [[m] for m in minima]
+        for (e, _), c in zip(free, choices):
+            blocks[c].append(e)
+        result.append(SetPartition(tuple(tuple(b) for b in blocks)))
+    return result
+
+
 def _reference_nested_count(n, k, s):
     # The nested count before it read the nested walk: one pass over the s
     # tuple entries, counting prefixes by (last min-set, minima used).
@@ -480,6 +503,14 @@ class TestPartitionsFromComposition:
                 if sum(a) <= 6:
                     parts = partitions_from_composition(a)
                     assert parts == sorted(parts, key=SetPartition.rgs), a
+
+    def test_matches_the_reference_builder(self):
+        # every composition of 1 to 4 parts, each 0..3: 340 in all
+        compositions = [a for n in range(1, 5) for a in product(range(4), repeat=n)]
+        assert len(compositions) == 340
+        for a in compositions:
+            want = _reference_partitions_from_composition(a)
+            assert partitions_from_composition(a) == want, a
 
     def test_built_partitions_skip_the_check_they_pass(self, monkeypatch):
         built = _recorded_checks(monkeypatch, SetPartition)

@@ -32,12 +32,14 @@ _REFUSALS = [
     ("series-degree-bound", lambda: TruncatedSeries([1], -1), ValueError,
      "degree bound must be >= 0, got -1"),
     # symfun
-    ("params-n", lambda: symfun.SymFunParams(-1, 0), ValueError,
+    ("params-n", lambda: symfun.elem_sym(-1, 0), ValueError,
      "n must be >= 0, got -1"),
-    ("params-k", lambda: symfun.SymFunParams(0, -1), ValueError,
+    ("params-k", lambda: symfun.elem_sym(0, -1), ValueError,
      "k must be >= 0, got -1"),
-    ("params-s", lambda: symfun.SymFunParams(0, 0, 0), ValueError,
+    ("params-s", lambda: symfun.bounded_elem_sym(0, 0, 0), ValueError,
      "s must be >= 1, got 0"),
+    ("params-ell", lambda: symfun.lmodular_sym(0, 0, 2, 3), ValueError,
+     "ell must satisfy 0 <= ell <= s, got 3"),
     ("modular_series-degree-bound", lambda: symfun.modular_series(2, 1, -1),
      ValueError, "degree bound must be >= 0, got -1"),
     ("modular_all_ones-n", lambda: symfun.modular_all_ones(0, 0, 1), ValueError,
@@ -49,11 +51,9 @@ _REFUSALS = [
      lambda: symfun.modular_sym(2, 1, 0, "bogus"), ValueError,
      "s must be >= 1, got 0"),
     # stirling
-    ("query-family", lambda: stirling.StirlingQuery(0, 0, "bogus", 0), ValueError,
+    ("query-family", lambda: stirling.triangle_rows("bogus", 0, -1), ValueError,
      f"unknown family 'bogus'; expected one of {_STIRLING_FAMILIES}"),
-    ("query-n-k", lambda: stirling.StirlingQuery(1, -1, "stirling2"), ValueError,
-     "n and k must be >= 0, got (1, -1)"),
-    ("query-s", lambda: stirling.StirlingQuery(0, 0, "stirling2", 0), ValueError,
+    ("query-s", lambda: stirling.triangle_rows("stirling2", 0, -1), ValueError,
      "s must be >= 1, got 0"),
     ("stirling2", lambda: stirling.stirling2(-1, 0), ValueError,
      "n and k must be >= 0, got (-1, 0)"),
@@ -117,6 +117,8 @@ _REFUSALS = [
     ("nested-s", lambda: enumeration.count_nested_minset_tuples(2, 1, 0),
      ValueError, "s must be >= 1, got 0"),
     # identities
+    ("fermat_rhs-p", lambda: identities.fermat_rhs(2, 3, 0), ValueError,
+     "p must be >= 2, got 0"),
     ("profile", lambda: identities.profile_ranges("PS1", "medium"), ValueError,
      "unknown profile 'medium'; expected one of ('quick', 'full')"),
     ("verify_all-profile", lambda: identities.verify_all("medium"), ValueError,

@@ -6,7 +6,6 @@ import pytest
 from modsym import stirling
 from modsym.polycore import Polynomial
 from modsym.stirling import (
-    StirlingQuery,
     omega_poly,
     stirling1,
     stirling1_higher,
@@ -491,9 +490,7 @@ class TestTriangleSerialization:
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
-            StirlingQuery(1, 1, "nosuch")
-        with pytest.raises(ValueError):
-            StirlingQuery(-1, 0, "stirling2")
+            triangle_rows("nosuch", 1, 3)
         with pytest.raises(ValueError):
             triangle_rows("stirling2", 0, 3)
         with pytest.raises(ValueError, match="unexpected CSV header"):

@@ -10,7 +10,6 @@ from modsym.polycore import Polynomial, TruncatedSeries, _cauchy
 from modsym.stirling import stirling1, stirling2
 from modsym.symfun import (
     MODULAR_METHODS,
-    SymFunParams,
     bounded_elem_sym,
     comp_sym,
     elem_sym,
@@ -380,13 +379,13 @@ class TestAllOnes:
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SymFunParams(-1, 0)
+            elem_sym(-1, 0)
         with pytest.raises(ValueError):
-            SymFunParams(0, -1)
+            comp_sym(0, -1)
         with pytest.raises(ValueError):
-            SymFunParams(0, 0, 0)
+            bounded_elem_sym(0, 0, 0)
         with pytest.raises(ValueError):
-            SymFunParams(0, 0, 2, 3)
+            lmodular_sym(0, 0, 2, 3)
 
 
 @given(
