@@ -212,41 +212,45 @@ def _partition_from_rgs(w: Sequence[int]) -> SetPartition:
     return SetPartition._trusted(tuple(tuple(b) for b in blocks))
 
 
-def gen_set_partitions(n: int, k: int) -> Iterator[SetPartition]:
-    """All partitions of [n] into k blocks, ordered by restricted-growth string."""
+def _check_nk(n: int, k: int):
     if n < k or k < 0:
         raise ValueError(f"need n >= k >= 0, got ({n}, {k})")
-    return (_partition_from_rgs(w) for w in _iter_rgs(n, k))
+
+
+def _mod_rule(n: int, k: int, s: int, residues: tuple[int, ...]):
+    # The domain of the modular families, then their entry rule: every d_i
+    # congruent mod s+1 to one of the residues.
+    if n < k or k < 1:
+        raise ValueError(f"need n >= k >= 1, got ({n}, {k})")
+    _at_least("s", s, 1)
+    return lambda d: d % (s + 1) in residues
+
+
+def _bounded_rule(n_board: int, n_blocks: int, s_bound: int):
+    # The domain of the bounded family, then its entry rule: every d_i <= s_bound.
+    if n_board < n_blocks or n_blocks < 1:
+        raise ValueError(f"need n_board >= n_blocks >= 1, got ({n_board}, {n_blocks})")
+    _at_least("s_bound", s_bound, 0)
+    return lambda d: d <= s_bound
+
+
+def gen_set_partitions(n: int, k: int) -> Iterator[SetPartition]:
+    """All partitions of [n] into k blocks, ordered by restricted-growth string."""
+    _check_nk(n, k)
+    return map(_partition_from_rgs, _iter_rgs(n, k))
 
 
 def gen_partitions_mod(n: int, k: int, s: int) -> Iterator[SetPartition]:
     """Partitions of [n] into k blocks with every d_i congruent to 0 or 1 mod s+1."""
-    _check_nks(n, k, s)
-    step = s + 1
-    return (_partition_from_rgs(w) for w in _iter_rgs(n, k, lambda d: d % step <= 1))
+    return map(_partition_from_rgs, _iter_rgs(n, k, _mod_rule(n, k, s, (0, 1))))
 
 
 def gen_partitions_bounded(
     n_board: int, n_blocks: int, s_bound: int
 ) -> Iterator[SetPartition]:
     """Partitions of [n_board] into n_blocks blocks with every d_i <= s_bound."""
-    _check_bounded(n_board, n_blocks, s_bound)
-    return (
-        _partition_from_rgs(w)
-        for w in _iter_rgs(n_board, n_blocks, lambda d: d <= s_bound)
-    )
-
-
-def _check_bounded(n_board: int, n_blocks: int, s_bound: int):
-    if n_board < n_blocks or n_blocks < 1:
-        raise ValueError(f"need n_board >= n_blocks >= 1, got ({n_board}, {n_blocks})")
-    _at_least("s_bound", s_bound, 0)
-
-
-def _check_nks(n: int, k: int, s: int):
-    if n < k or k < 1:
-        raise ValueError(f"need n >= k >= 1, got ({n}, {k})")
-    _at_least("s", s, 1)
+    entry_ok = _bounded_rule(n_board, n_blocks, s_bound)
+    return map(_partition_from_rgs, _iter_rgs(n_board, n_blocks, entry_ok))
 
 
 def _count_partitions_by_diffs(n: int, k: int, entry_ok) -> int:
@@ -260,22 +264,18 @@ def _count_partitions_by_diffs(n: int, k: int, entry_ok) -> int:
 
 def count_partitions_mod(n: int, k: int, s: int) -> int:
     """|{partitions of [n] into k blocks : all d_i = 0 or 1 mod s+1}|."""
-    _check_nks(n, k, s)
-    step = s + 1
-    return _count_partitions_by_diffs(n, k, lambda d: d % step <= 1)
+    return _count_partitions_by_diffs(n, k, _mod_rule(n, k, s, (0, 1)))
 
 
 def count_partitions_zeromod(n: int, k: int, s: int) -> int:
     """Count with every d_i divisible by s+1; zero unless s+1 divides n-k."""
-    _check_nks(n, k, s)
-    step = s + 1
-    return _count_partitions_by_diffs(n, k, lambda d: d % step == 0)
+    return _count_partitions_by_diffs(n, k, _mod_rule(n, k, s, (0,)))
 
 
 def count_partitions_bounded(n_board: int, n_blocks: int, s_bound: int) -> int:
     """Count of partitions of [n_board] into n_blocks blocks with all d_i <= s_bound."""
-    _check_bounded(n_board, n_blocks, s_bound)
-    return _count_partitions_by_diffs(n_board, n_blocks, lambda d: d <= s_bound)
+    entry_ok = _bounded_rule(n_board, n_blocks, s_bound)
+    return _count_partitions_by_diffs(n_board, n_blocks, entry_ok)
 
 
 def partitions_from_composition(a: Sequence[int]) -> list[SetPartition]:
@@ -485,8 +485,7 @@ def _min_set(cycles: tuple[tuple[int, ...], ...]) -> frozenset[int]:
 
 def gen_cycle_perms(n: int, k: int) -> Iterator[CyclePermutation]:
     """All permutations of [n] with exactly k cycles, by one-line lex order."""
-    if n < k or k < 0:
-        raise ValueError(f"need n >= k >= 0, got ({n}, {k})")
+    _check_nk(n, k)
     return (CyclePermutation._trusted(c) for c in _all_cycle_perms(n) if len(c) == k)
 
 
@@ -503,8 +502,7 @@ def count_equal_minset_tuples(n: int, k: int, s: int) -> int:
     permutations.  The classes come from ``_min_set_tally(n)``, which maps
     all n! permutations of [n] whatever k is.
     """
-    if n < k or k < 0:
-        raise ValueError(f"need n >= k >= 0, got ({n}, {k})")
+    _check_nk(n, k)
     _at_least("s", s, 1)
     return sum(c**s for m, c in _min_set_tally(n).items() if len(m) == k)
 

@@ -41,7 +41,7 @@ library call, so the two sides of a cell still reach different routes.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
 from math import gcd
 
@@ -56,7 +56,6 @@ from modsym.enumeration import (
 from modsym.polycore import Polynomial, _at_least, _one_of
 from modsym.stirling import (
     omega_poly,
-    stirling1,
     stirling1_higher,
     stirling1_mod,
     stirling2,
@@ -123,15 +122,9 @@ class IdentityCase:
     reason: str | None = None
 
     def to_json_obj(self) -> dict:
-        obj = {
-            "id": self.id,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "status": self.status,
-        }
-        if self.reason is not None:
-            obj["reason"] = self.reason
+        obj = asdict(self)
+        if self.reason is None:
+            del obj["reason"]
         return obj
 
 
@@ -216,46 +209,42 @@ def h_at_powered_points(n: int, j: int, s: int) -> int:
     return symfun._series_product(powered, 1, j)[j]
 
 
-def ps1_rhs(n: int, k: int, s: int, *, _shift: int = 0) -> int:
+def ps1_rhs(n: int, k: int, s: int) -> int:
     """sum_i h_{floor(k/(s+1))-i}(powered points) * [n+1, n+1-r-i(s+1)],
     with r = k mod (s+1): the first-kind expansion of {n+k, n}^(s), which
-    is lmod_rhs at ell = 1.
-
-    A nonzero ``_shift`` perturbs the remainder to (k+_shift) mod (s+1);
-    only the mutation self-test sets it."""
-    return lmod_rhs(n, k, s, 1, _shift=_shift)
+    is lmod_rhs at ell = 1."""
+    return _first_kind_expansion(n, k, s, 1, h_at_powered_points)
 
 
 def fermat_rhs(n: int, k: int, p: int) -> int:
     """sum_i {n+floor(k/p)-i, n} * [n+1, n+1-(r+ip)] with r = k mod p."""
     _at_least("p", p, 2)
-    r = k % p
-    hi = min((n - r) // p, k // p)
-    total = 0
-    for i in range(hi + 1):
-        total += stirling2(n + k // p - i, n) * stirling1(n + 1, n + 1 - (r + i * p))
-    return total
+    return _first_kind_expansion(n, k, p - 1, 1, lambda n, j, s: stirling2(n + j, n))
 
 
-def lmod_rhs(n: int, k: int, s: int, ell: int, *, _shift: int = 0) -> int:
+def lmod_rhs(n: int, k: int, s: int, ell: int) -> int:
     """The level-ell analogue of ps1_rhs, with r the residue of k * ell^{-1}
-    mod s+1 and the first-kind bracket read at level ell.
+    mod s+1 and the first-kind bracket read at level ell."""
+    return _first_kind_expansion(n, k, s, ell, h_at_powered_points)
 
-    A nonzero ``_shift`` perturbs r to ((k+_shift) * ell^{-1}) mod (s+1);
-    only the mutation self-test sets it, through ps1_rhs."""
+
+def _first_kind_expansion(
+    n: int, k: int, s: int, ell: int, term: Callable[[int, int, int], int]
+) -> int:
+    # sum_i term(n, j, s) * [n+1, n+1-r-i(s+1)]_ell over the i that keep both
+    # j = floor(k/(s+1)) - floor(r*ell/(s+1)) - i*ell and the bracket's lower
+    # index in range, with r the residue of k * ell^{-1} mod s+1
+    symfun._check_params(n, k, s, ell)
     if gcd(ell, s + 1) != 1:
         raise ValueError(f"ell = {ell} is not invertible mod {s + 1}")
-    r = ((k + _shift) * pow(ell, -1, s + 1)) % (s + 1)
+    r = (k * pow(ell, -1, s + 1)) % (s + 1)
     base = k // (s + 1) - (r * ell) // (s + 1)
-    hi = min((n - r) // (s + 1), base)
     total = 0
-    for i in range(hi + 1):
+    for i in range(min((n - r) // (s + 1), base) + 1):
         j = base - i * ell
-        if j < 0:
-            continue
-        total += h_at_powered_points(n, j, s) * stirling1_higher(
-            n + 1, n + 1 - r - i * (s + 1), ell
-        )
+        if j >= 0:
+            lower = n + 1 - r - i * (s + 1)
+            total += term(n, j, s) * stirling1_higher(n + 1, lower, ell)
     return total
 
 
@@ -325,10 +314,7 @@ def _check_rec4(ctx: _Ctx, r: Ranges, n: int, k: int, s: int, cross: int = 1):
 
 
 def _weight_sum(objects) -> Polynomial:
-    total = Polynomial.zero()
-    for obj in objects:
-        total = total + obj.weight()
-    return total
+    return sum((obj.weight() for obj in objects), Polynomial.zero())
 
 
 def _check_weight_sum(gen: str, ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
@@ -401,8 +387,10 @@ def _check_part_zero(ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
 
 
 def _check_ps1(ctx: _Ctx, r: Ranges, n: int, k: int, s: int, shift: int = 0):
+    # a nonzero shift keeps k's quotient by s+1 and moves its remainder to
+    # (k+shift) mod (s+1)
     lhs = stirling2_mod(n + k, n, s, "recurrence")
-    rhs = ps1_rhs(n, k, s, _shift=shift)
+    rhs = ps1_rhs(n, k - k % (s + 1) + (k + shift) % (s + 1), s)
     return lhs, rhs
 
 

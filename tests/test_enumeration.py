@@ -467,6 +467,49 @@ class TestFilteredPartitionCounts:
         assert nxt == [1, 1, 4, 4, 4, 7, 7, 7]
 
 
+def _refusal(call, *args):
+    # the message of the ValueError the call raises, or None
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_REFUSAL_BOX = list(product(range(-1, 4), repeat=3))
+
+
+class TestFamilyRefusals:
+    # each family's domain is one rule: its generator and counter refuse the
+    # same arguments with the same message
+
+    @pytest.mark.parametrize(
+        "gen, counts",
+        [
+            (gen_partitions_mod, (count_partitions_mod, count_partitions_zeromod)),
+            (gen_partitions_bounded, (count_partitions_bounded,)),
+        ],
+        ids=["mod", "bounded"],
+    )
+    def test_generator_and_counter_refuse_alike(self, gen, counts):
+        refused = 0
+        for args in _REFUSAL_BOX:
+            message = _refusal(gen, *args)
+            refused += message is not None
+            for count in counts:
+                assert _refusal(count, *args) == message, (count, args)
+        assert 0 < refused < len(_REFUSAL_BOX)
+
+    def test_n_k_chain_is_shared(self):
+        for n, k, s in _REFUSAL_BOX:
+            if n < k or k < 0:
+                assert {
+                    _refusal(gen_set_partitions, n, k),
+                    _refusal(gen_cycle_perms, n, k),
+                    _refusal(count_equal_minset_tuples, n, k, s),
+                } == {f"need n >= k >= 0, got ({n}, {k})"}
+
+
 class TestPartitionsFromComposition:
     def test_reference_count(self):
         parts = partitions_from_composition((2, 1, 2))

@@ -4,6 +4,7 @@ import itertools
 import json
 import sys
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -716,6 +717,64 @@ def test_route_cores_are_the_traced_cores():
         direct = {name for name, outside in reached.items() if outside}
         assert direct <= rows[key], (key, sorted(direct - rows[key]))
         assert rows[key] <= reached.keys(), (key, sorted(rows[key] - reached.keys()))
+
+
+def _reference_lmod_rhs(n, k, s, ell, *, _shift=0):
+    # the residue-ell expansion as its own loop, the reference for lmod_rhs
+    # and ps1_rhs; a nonzero _shift moves r to ((k+_shift) * ell^{-1}) mod
+    # (s+1)
+    if gcd(ell, s + 1) != 1:
+        raise ValueError(f"ell = {ell} is not invertible mod {s + 1}")
+    r = ((k + _shift) * pow(ell, -1, s + 1)) % (s + 1)
+    base = k // (s + 1) - (r * ell) // (s + 1)
+    hi = min((n - r) // (s + 1), base)
+    total = 0
+    for i in range(hi + 1):
+        j = base - i * ell
+        if j < 0:
+            continue
+        total += h_at_powered_points(n, j, s) * stirling.stirling1_higher(
+            n + 1, n + 1 - r - i * (s + 1), ell
+        )
+    return total
+
+
+def _reference_fermat_rhs(n, k, p):
+    # the prime expansion as its own loop, the reference for fermat_rhs
+    r = k % p
+    hi = min((n - r) // p, k // p)
+    total = 0
+    for i in range(hi + 1):
+        total += stirling.stirling2(n + k // p - i, n) * stirling.stirling1(
+            n + 1, n + 1 - (r + i * p)
+        )
+    return total
+
+
+_RHS_BOX = list(itertools.product(range(6), range(11), range(1, 5)))
+
+
+class TestFirstKindExpansion:
+    def test_shifted_ps1_matches_the_reference(self):
+        # the PS1 mutation's hook keeps k's quotient by s+1 and moves its
+        # remainder, as the reference's _shift did
+        for n, k, s in _RHS_BOX:
+            for shift in range(s + 1):
+                shifted = k - k % (s + 1) + (k + shift) % (s + 1)
+                expected = _reference_lmod_rhs(n, k, s, 1, _shift=shift)
+                assert ps1_rhs(n, shifted, s) == expected, (n, k, s, shift)
+
+    def test_lmod_matches_the_reference(self):
+        for n, k, s in _RHS_BOX:
+            for ell in range(s + 1):
+                if gcd(ell, s + 1) == 1:
+                    expected = _reference_lmod_rhs(n, k, s, ell)
+                    assert lmod_rhs(n, k, s, ell) == expected, (n, k, s, ell)
+
+    def test_fermat_matches_the_reference(self):
+        for n, k in itertools.product(range(6), range(11)):
+            for p in (2, 3, 5, 7):
+                assert fermat_rhs(n, k, p) == _reference_fermat_rhs(n, k, p)
 
 
 class TestRhsHelpers:

@@ -119,6 +119,16 @@ _REFUSALS = [
     # identities
     ("fermat_rhs-p", lambda: identities.fermat_rhs(2, 3, 0), ValueError,
      "p must be >= 2, got 0"),
+    ("ps1_rhs-s", lambda: identities.ps1_rhs(2, 3, 0), ValueError,
+     "s must be >= 1, got 0"),
+    ("lmod_rhs-s", lambda: identities.lmod_rhs(2, 3, -1, 1), ValueError,
+     "s must be >= 1, got -1"),
+    ("lmod_rhs-ell-negative", lambda: identities.lmod_rhs(3, 4, 2, -1), ValueError,
+     "ell must satisfy 0 <= ell <= s, got -1"),
+    ("lmod_rhs-ell-above-s", lambda: identities.lmod_rhs(2, 3, 2, 5), ValueError,
+     "ell must satisfy 0 <= ell <= s, got 5"),
+    ("lmod_rhs-gcd", lambda: identities.lmod_rhs(3, 2, 3, 2), ValueError,
+     "ell = 2 is not invertible mod 4"),
     ("profile", lambda: identities.profile_ranges("PS1", "medium"), ValueError,
      "unknown profile 'medium'; expected one of ('quick', 'full')"),
     ("verify_all-profile", lambda: identities.verify_all("medium"), ValueError,
