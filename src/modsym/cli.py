@@ -8,7 +8,8 @@ parser once per process, on the first call, and reuses it for later calls.
 
 Exit status: 0 success, 1 verification failures present, 2 usage error (a
 bad flag, or a refusal: every refusal, the library's and the CLI's own, is a
-``ValueError`` that ``main`` alone turns into exit 2 with its message), 141
+``ValueError`` that ``main`` alone turns into exit 2 with its message), 74 a
+failed write, as to a full device (``EX_IOERR``; one line on stderr), 141
 stdout closed by its reader before all output was written (128 + SIGPIPE, as
 for a program killed by that signal; nothing is printed to stderr).
 """
@@ -137,8 +138,15 @@ def _build_parser() -> argparse.ArgumentParser:
 @contextmanager
 def _destination(path: str | None):
     if path is None:
-        yield sys.stdout
-        sys.stdout.flush()
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError:
+            # the null device takes the unwritten buffer, else the flush at exit fails
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
         return
     # Opened without O_TRUNC, so a usage error found before any output leaves
     # an existing file as it was; a regular file is cut at the end of what
@@ -217,15 +225,12 @@ def _cmd_eval(args) -> int:
             else:
                 rows = symfun._modular_rows(point, 1, args.k, s, ell=ell)
             value = symfun._last_entry(rows, args.k)
-        elif args.function == "M":
-            poly = symfun.modular_sym(n, args.k, s)
         elif args.function == "E":
             poly = symfun.bounded_elem_sym(n, args.k, s)
         elif args.function == "e":
             poly = symfun.elem_sym(n, args.k)
-        elif args.function == "h":
-            poly = symfun.comp_sym(n, args.k)
         else:
+            # M is M^(s,1) and h is M^(1,1)
             poly = symfun.lmodular_sym(n, args.k, s, ell)
         if args.format == "text":
             fh.write(f"{poly if point is None else value}\n")
@@ -314,13 +319,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     except BrokenPipeError:
-        # The reader closed stdout early, as `| head` does.  Pointing the
-        # descriptor at the null device keeps the interpreter's final flush
-        # of the unwritten buffer from reporting the same error at exit.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # the reader closed stdout early, as `| head` does
         return 141
+    except OSError as exc:
+        print(f"modsym: error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 74
 
 
 if __name__ == "__main__":

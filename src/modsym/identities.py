@@ -22,12 +22,13 @@ or 0 outside it, from a sequence grown to depth max(i, grid bound).
 
 ``mutation_selftest`` reruns five catalog checkers, each with one keyword
 hook (a constant whose default is the true value) changed; each must fail
-somewhere, guarding the suite against vacuous passes.  Three entries carry
-an erratum: a commonly printed variant of the statement that provably
+somewhere, guarding the suite against vacuous passes.  Every hook is a
+checker keyword; no library function takes one.  Three entries carry an
+erratum: a commonly printed variant of the statement that provably
 disagrees with the defining specialization.  Each variant is its entry's
 own checker with one hook changed (for S2MOD_GF the numerator power s in
-place of 1), run over a fixed probe grid; its first failing cell is recorded
-in the report's ``errata`` field and is never asserted.
+place of 1), run over a fixed probe grid; its first failing cell is
+recorded in the report's ``errata`` field and is never asserted.
 
 Grid cells are independent pure computations.  They run one after another
 in grid order and share one memo of library calls per verify call;
@@ -43,7 +44,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
-from math import gcd
+from math import comb, gcd
 
 from modsym import enumeration, stirling, symfun
 from modsym.enumeration import (
@@ -326,7 +327,9 @@ def _check_weight_sum(gen: str, ctx: _Ctx, r: Ranges, n: int, k: int, s: int):
 
 
 def _check_allones(ctx: _Ctx, r: Ranges, n: int, k: int, s: int, shift: int = 0):
-    lhs = modular_all_ones(n, k, s, _shift=shift)
+    # C(j+n, n-1) is term j+1 of the count at k+s+1, so shift = 1 reads that
+    # count less its j = 0 term, C(n, k+s+1)
+    lhs = modular_all_ones(n, k + shift * (s + 1), s) - shift * comb(n, k + s + 1)
     rhs = ctx(modular_sym, n, k, s).evaluate((1,) * n)
     return lhs, rhs
 
@@ -365,8 +368,10 @@ def _grid_s2mod_gf(r: Ranges) -> Iterator[dict]:
 
 
 def _check_s2mod_gf(ctx: _Ctx, r: Ranges, k: int, s: int, m: int, linear: bool = True):
-    numerator = 1 if linear else s
-    series = ctx(stirling2_mod_series, k, s, max(m, r.n_max), _numerator=numerator)
+    if linear:
+        series = ctx(stirling2_mod_series, k, s, max(m, r.n_max))
+    else:  # the printed numerator 1 + r*x^s: the same product, power s
+        series = ctx(symfun._series_product, range(1, k + 1), s, max(m, r.n_max), s)
     lhs = _entry(series, m)
     rhs = stirling2_mod(k + m, k, s, "recurrence")
     return lhs, rhs

@@ -219,21 +219,16 @@ def omega_poly(n: int, s: int) -> Polynomial:
     return result
 
 
-def stirling2_mod_series(
-    k: int, s: int, degree_bound: int, *, _numerator: int = 1
-) -> list[int]:
+def stirling2_mod_series(k: int, s: int, degree_bound: int) -> list[int]:
     """Coefficients of prod_{r=1}^{k} (1+rx)/(1-(rx)^{s+1}) up to x^degree_bound.
 
     Coefficient m equals stirling2_mod(k+m, k, s): the column generating
     function of the modular second-kind triangle in the offset n-k.
-    ``_numerator`` is the power of x in each numerator 1 + r*x^_numerator;
-    only the verifier sets it, to s, to evaluate the commonly printed
-    numerator 1 + r*x^s, which does not give the triangle.
     """
     _at_least("k", k, 0)
     _at_least("s", s, 1)
     _at_least("degree bound", degree_bound, 0)
-    return _series_product(range(1, k + 1), s, degree_bound, _numerator)
+    return _series_product(range(1, k + 1), s, degree_bound)
 
 
 def triangle_rows(family: str, s: int, n_max: int) -> list[list[int]]:

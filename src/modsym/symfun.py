@@ -235,13 +235,11 @@ def modular_series(n: int, s: int, degree_bound: int) -> TruncatedSeries:
     return TruncatedSeries(_series_product(variables, s, degree_bound), degree_bound)
 
 
-def modular_all_ones(n: int, k: int, s: int, *, _shift: int = 0) -> int:
+def modular_all_ones(n: int, k: int, s: int) -> int:
     """M_k^(s) evaluated with every variable equal to 1.
 
     Counts the admissible compositions directly:
     sum_j C(n, k-j(s+1)) * C(j+n-1, n-1) over 0 <= j <= k // (s+1).
-    A nonzero ``_shift`` perturbs the second binomial to C(j+n-1+_shift, n-1);
-    only the verifier's mutation self-test sets it.
     """
     _check_params(n, k, s)
     _at_least("n", n, 1)
@@ -249,5 +247,5 @@ def modular_all_ones(n: int, k: int, s: int, *, _shift: int = 0) -> int:
     for j in range(k // (s + 1) + 1):
         r = k - j * (s + 1)
         if r <= n:
-            total += comb(n, r) * comb(j + n - 1 + _shift, n - 1)
+            total += comb(n, r) * comb(j + n - 1, n - 1)
     return total

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -597,6 +598,40 @@ class TestClosedStdout:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 141
         assert err == b""
+
+
+_FULL_DEVICE = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="no /dev/full on this system"
+)
+_WRITE_FAILED = f"modsym: error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+class TestFailedWrite:
+    # a device that takes no byte: one line on stderr and EX_IOERR, 74
+
+    @_FULL_DEVICE
+    def test_full_stdout_exits_74(self):
+        src = str(Path(modsym.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "modsym.cli", "table", "--family",
+                 "stirling2", "--n-max", "5"],
+                stdout=full, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+        assert proc.returncode == 74
+        assert proc.stderr.decode() == _WRITE_FAILED
+
+    @_FULL_DEVICE
+    @pytest.mark.parametrize("argv", [
+        ("table", "--family", "stirling2", "--n-max", "5"),
+        ("enumerate", "--family", "partitions", "--n", "8", "--k", "3"),
+        ("verify", "--id", "omega"),
+    ], ids=["table", "enumerate", "verify"])
+    def test_full_output_file_exits_74(self, capsys, argv):
+        assert main([*argv, "--output", "/dev/full"]) == 74
+        assert capsys.readouterr() == ("", _WRITE_FAILED)
 
 
 class TestParserReuse:

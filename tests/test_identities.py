@@ -4,7 +4,7 @@ import itertools
 import json
 import sys
 from collections import Counter
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -364,6 +364,25 @@ class TestMutations:
         assert main(["verify", "--seed-check"]) == 1
         capsys.readouterr()
 
+    def test_shifted_all_ones_matches_the_reference(self):
+        # the ALLONES hook reads the count with C(j+n, n-1) in place of
+        # C(j+n-1, n-1), as the reference's _shift does
+        memo = identities._memo()
+        for n, k, s in itertools.product(range(1, 8), range(16), range(1, 6)):
+            lhs, _ = identities._check_allones(memo, None, n, k, s, shift=1)
+            assert lhs == _reference_all_ones(n, k, s, _shift=1), (n, k, s)
+
+
+def _reference_all_ones(n, k, s, *, _shift=0):
+    # the all-ones count with its second binomial moved to
+    # C(j+n-1+_shift, n-1), the reference for the ALLONES mutation's hook
+    total = 0
+    for j in range(k // (s + 1) + 1):
+        r = k - j * (s + 1)
+        if r <= n:
+            total += comb(n, r) * comb(j + n - 1 + _shift, n - 1)
+    return total
+
 
 # Each perturbation puts one cell of one route core off by one.
 def _bump_s1_column(walk):
@@ -519,8 +538,8 @@ def _bump_rows_stirling2(rows):
 
 def _bump_all_ones(count):
     # the all-ones count of M_2^(1) in 2 variables
-    def patched(n, k, s, *, _shift=0):
-        return count(n, k, s, _shift=_shift) + ((n, k, s) == (2, 2, 1))
+    def patched(n, k, s):
+        return count(n, k, s) + ((n, k, s) == (2, 2, 1))
 
     return patched
 

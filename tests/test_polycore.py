@@ -133,6 +133,16 @@ class TestPolynomial:
         assert Polynomial.one().evaluate((5, -3)) == 1
         assert Polynomial.one().evaluate(()) == 1
 
+    def test_len_is_the_term_count(self):
+        assert len(3 * X1 * X2 - cube(X2) + 1) == 3
+        assert len(Polynomial.zero()) == 0
+
+    def test_repr(self):
+        assert repr(3 * X1 * X2 - cube(X2) + 1) == "Polynomial(-x2^3 + 3*x1*x2 + 1)"
+
+    def test_other_types_are_not_equal(self):
+        assert (X1 == "x1") is False
+
     def test_eval_modular_value(self):
         assert modular_sym(3, 3, 2).evaluate((1, 2, 3)) == 42
 
@@ -338,6 +348,24 @@ class TestTruncatedSeries:
             TruncatedSeries([1, 2, 3], 1)
         with pytest.raises(IndexError):
             s.coefficient(6)
+
+    def test_mul_operator_is_series_mul(self):
+        a = TruncatedSeries([1, X1], 2)
+        b = TruncatedSeries([X2, 1, 3])
+        assert a * b == series_mul(a, b)
+        with pytest.raises(TypeError):
+            a * 2
+
+    def test_equal_series_hash_alike(self):
+        assert hash(TruncatedSeries([1, X1], 2)) == hash(TruncatedSeries([1, X1, 0]))
+
+    def test_text_forms(self):
+        s = TruncatedSeries([1, X1 + X2], 2)
+        assert str(s) == "t^0: 1 ; t^1: x1 + x2 ; t^2: 0"
+        assert repr(s) == "TruncatedSeries([1, x1 + x2, 0])"
+
+    def test_other_types_are_not_equal(self):
+        assert (TruncatedSeries([1]) == "1") is False
 
 
 series_lists = st.lists(st.integers(-5, 5), min_size=1, max_size=6)
