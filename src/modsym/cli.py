@@ -9,7 +9,8 @@ parser once per process, on the first call, and reuses it for later calls.
 Exit status: 0 success, 1 verification failures present, 2 usage error (a
 bad flag, or a refusal: every refusal, the library's and the CLI's own, is a
 ``ValueError`` that ``main`` alone turns into exit 2 with its message), 74 a
-failed write, as to a full device (``EX_IOERR``; one line on stderr), 141
+failed write, as to a full device (``EX_IOERR``; one line on stderr), 130
+interrupted by Ctrl-C (128 + SIGINT; nothing is printed to stderr), 141
 stdout closed by its reader before all output was written (128 + SIGPIPE, as
 for a program killed by that signal; nothing is printed to stderr).
 """
@@ -326,5 +327,15 @@ def main(argv=None) -> int:
         return 74
 
 
+def _console() -> int:
+    # The installed script and ``python -m modsym.cli`` end quietly with 130
+    # (128 + SIGINT) on Ctrl-C.  ``main`` lets KeyboardInterrupt through, so
+    # that a caller in the same process stops on it.
+    try:
+        return main()
+    except KeyboardInterrupt:
+        return 130
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_console())

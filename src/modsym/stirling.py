@@ -34,24 +34,25 @@ depth is ever an issue.
 Both specializations are one function over compositions, ``_point_sums``,
 that multiplies out each monomial at the point and never builds the
 polynomial; the kinds differ only in the parts they allow.  It splits the
-variables into a head and a tail and lists each half's compositions, with
-their products, by one explicit-stack walk, so no recursion limit applies.
-The tail is listed once, its products kept one by one per degree; every head
-product then multiplies each tail product in C, so each composition is still
-one product, added on its own.  Summing the products by degree covers every
-degree at once: every k of a first-kind row n, or every n of a second-kind
-column k.  A tail degree's products are never summed before the multiply:
-a head product times a tail sum is the E^(s) or M^(s) product rule, which
-the recurrences' dynamic programs compute, and the walk would stop being a
-route independent of them.  No identity compares the two kinds' walks with
-each other.
+variables into a head and a tail and lists each half's compositions once,
+by one explicit-stack walk, so no recursion limit applies, keeping their
+products one by one per degree.  Each pair of a head degree and a tail
+degree adds head product times tail product over every pair of their
+products in one C-level sum: each composition is one product, added on its
+own, and a half's sum is never formed.  A half's sum times anything is the
+E^(s) or M^(s) product rule, which the recurrences' dynamic programs
+compute, and the walk would stop being a route independent of them.
+Summing by degree covers every degree at once: every k of a first-kind row
+n, or every n of a second-kind column k.  No identity compares the two
+kinds' walks with each other.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from io import StringIO
-from itertools import count, islice
+from itertools import count, islice, product, starmap
+from operator import mul
 import csv
 
 from modsym.polycore import Polynomial, _at_least, _one_of
@@ -99,10 +100,8 @@ def _point_sums(m: int, parts: Sequence[int], lo: int, hi: int) -> list[int]:
     # point.  A prefix that reaches hi is finished, since every later part
     # must then be 0; a part after which the rest of its half, plus ``other``,
     # the most the other half adds, can no longer reach lo is skipped.  The
-    # tail is listed once, its products kept one by one per degree, and every
-    # head product multiplies each tail product whose degree lands in
-    # [lo, hi]: one product per composition, added on its own.  Summing a
-    # tail degree first would apply the product rule the recurrences compute.
+    # halves are paired by degree as the module docstring states, for each
+    # pair of degrees whose sum lands in [lo, hi].
     top = parts[-1]
     h = m - m // 2
 
@@ -126,18 +125,21 @@ def _point_sums(m: int, parts: Sequence[int], lo: int, hi: int) -> list[int]:
                 else:
                     stack.append((v + 1, d, prod * v**a))
 
-    tails: dict[int, list[int]] = {}
-    for t, prod in walk(h + 1, m, h * top):
-        tails.setdefault(t, []).append(prod)
-    tails_up = sorted(tails.items())
+    def by_degree(first, last, other):
+        lists: dict[int, list[int]] = {}
+        for d, prod in walk(first, last, other):
+            lists.setdefault(d, []).append(prod)
+        return sorted(lists.items())
+
+    tails = by_degree(h + 1, m, h * top)
     out = [0] * (hi + 1)
-    for deg, prod in walk(1, h, (m - h) * top):
-        for t, prods in tails_up:
+    for deg, heads in by_degree(1, h, (m - h) * top):
+        for t, prods in tails:
             d = deg + t
             if d > hi:
                 break
             if d >= lo:
-                out[d] += sum(map(prod.__mul__, prods))
+                out[d] += sum(starmap(mul, product(heads, prods)))
     return out
 
 

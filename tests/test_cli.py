@@ -8,6 +8,7 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -583,20 +584,41 @@ class TestOutputFile:
         assert received == [b"1\n0 1\n0 1 1\n0 1 3 1\n"]
 
 
+def _child_env():
+    # the environment of a child ``python -m modsym.cli``, which imports
+    # this checkout's library
+    src = str(Path(modsym.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestClosedStdout:
     def test_early_close_exits_141_silently(self):
-        src = str(Path(modsym.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "modsym.cli", "table", "--family", "stirling2",
              "--n-max", "300"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
         )
         assert proc.stdout.read(20)
         proc.stdout.close()  # the output is far larger than a pipe buffer
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 141
+        assert err == b""
+
+
+class TestInterrupt:
+    def test_sigint_exits_130_silently(self):
+        # the enumeration streams far longer than the test waits
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "modsym.cli", "enumerate", "--family",
+             "nested-tuples", "--n", "5", "--k", "1", "--s", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+        )
+        # a line out means the interpreter's SIGINT handler is in place
+        assert proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
         assert err == b""
 
 
@@ -611,14 +633,11 @@ class TestFailedWrite:
 
     @_FULL_DEVICE
     def test_full_stdout_exits_74(self):
-        src = str(Path(modsym.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         with open("/dev/full", "wb") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "modsym.cli", "table", "--family",
                  "stirling2", "--n-max", "5"],
-                stdout=full, stderr=subprocess.PIPE, timeout=60,
-                env={**os.environ, "PYTHONPATH": path},
+                stdout=full, stderr=subprocess.PIPE, timeout=60, env=_child_env(),
             )
         assert proc.returncode == 74
         assert proc.stderr.decode() == _WRITE_FAILED
@@ -679,9 +698,7 @@ class TestParserReuse:
     def test_calls_match_fresh_processes(self, capsys, monkeypatch):
         # One fixed width for both sides: argparse wraps usage text to it.
         monkeypatch.setenv("COLUMNS", "60")
-        src = str(Path(modsym.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
+        env = _child_env()
         for line in self._SEQUENCE:
             try:
                 code = main(line.split())

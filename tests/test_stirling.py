@@ -351,6 +351,22 @@ class TestColumnWalks:
                                 m, s, list(parts), lo, hi,
                             )
 
+    def test_point_sums_match_the_reference_walk_at_full_scale(self):
+        # m = 7..12, the full profile's scale, where a head degree holds many
+        # products: whole rows of parts at most s, up to 2^16 compositions,
+        # and columns to n = 20 of the residues 0 and 1 mod s+1 (from s = 2;
+        # at s = 1 every part is allowed, C(20, m) compositions)
+        for m in range(7, 13):
+            shapes = [(range(s + 1), m * s) for s in range(1, 5) if (s + 1) ** m <= 2**16]
+            shapes += [(list(_residue_parts(20 - m, s, 1)), 20 - m) for s in range(2, 5)]
+            for parts, hi in shapes:
+                for lo in (0, hi // 2, hi):
+                    out = stirling._point_sums(m, parts, lo, hi)
+                    ref = _reference_point_sums(m, parts, lo, hi)
+                    assert (len(out), out[lo:]) == (len(ref), ref[lo:]), (
+                        m, list(parts), lo, hi,
+                    )
+
     def test_row_end_deeper_than_the_recursion_limit(self):
         assert stirling1_mod(1100, 1100, 1) == 1
 
