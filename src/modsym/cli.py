@@ -45,7 +45,8 @@ def _weighted(o):
 
 
 def _blocks_json(o):
-    return {"blocks": [list(b) for b in o.blocks], "text": str(o)}
+    # json.dumps writes a tuple as a list
+    return {"blocks": o.blocks, "text": str(o)}
 
 
 # family: (the flags its generator reads, in order; the generator's name on
@@ -63,7 +64,7 @@ _ENUM_FAMILIES = {
         ("n", "k"),
         "gen_cycle_perms",
         str,
-        lambda o: {"cycles": [list(c) for c in o.cycles], "text": str(o)},
+        lambda o: {"cycles": o.cycles, "text": str(o)},
     ),
     "nested-tuples": (
         ("n", "k", "s"),
@@ -264,10 +265,10 @@ def _cmd_enumerate(args) -> int:
                 f'{{"family": {json.dumps(args.family)}, '
                 f'"params": {json.dumps(params)}, "objects": ['
             )
+            sep = ""
             for obj in gen:
-                if count:
-                    fh.write(", ")
-                fh.write(json.dumps(as_json(obj)))
+                fh.write(sep + json.dumps(as_json(obj)))
+                sep = ", "
                 count += 1
             fh.write(f'], "count": {count}}}\n')
     return 0

@@ -20,23 +20,33 @@ The partition generators and counters share one restricted-growth walk,
 ``_rgs_placements``, that yields the blocks element n may join below each
 live prefix.  A counter adds one per placement, with no multiplication by a
 block count and no memo, either of which would turn the oracle into the
-composition sum it is checked against.  The walk's cut reads one
-admissibility table (``_admissible``): nxt[g] is the least admissible entry
->= g.  Below a node whose last block minimum is m and whose next element is
-i+1, the next entry fixed is an opening i-m..n-m-1 or the closing n-m, so
-the node is cut when nxt[i-m] > n-m ("the gap already exceeds s" for
-d_i <= s).  No walk here recurses.  Every other walk is a prefix stack: the
-step words, and the one nested rule that the nested generator and count
-share.  A stack entry is a prefix with its state, and its children are
-pushed in reverse so that they pop in canonical order.  ``_rgs_placements`` is not a
-prefix stack: it keeps one iterator of choices per level, because as a stack
-of children (2.2-5x) or a list of frames (8-20%) it measured slower on the
-partition counts.  ``SetPartition`` and ``CyclePermutation`` share one
-validation body, ``_Parts``, and ``LatticePath`` and ``Tiling`` another,
-``_LevelWord``.  Every generator builds what it yields through ``_trusted``,
-which skips the check its values pass by construction; every object a caller
-builds is checked.  All permutation families read S_n from
-``_all_cycle_perms`` and build an object only for a permutation they yield.
+composition sum it is checked against.  A generator builds the blocks of
+1..n-1 once per prefix and lets element n join each block the placements
+allow.  The walk's cut reads one admissibility table (``_admissible``):
+nxt[g] is the least admissible entry >= g.  Below a node whose last block
+minimum is m and whose next element is i+1, the next entry fixed is an
+opening i-m..n-m-1 or the closing n-m, so the node is cut when
+nxt[i-m] > n-m ("the gap already exceeds s" for d_i <= s).
+
+No walk here recurses.  The step words and the one nested rule that the
+nested generator and count share are prefix stacks: a stack entry is a
+prefix with its state, and its children are pushed in reverse so that they
+pop in canonical order.  ``_rgs_placements`` is not a prefix stack: it keeps
+one iterator of choices per level, because as a stack of children (2.2-5x)
+or a list of frames (8-20%) it measured slower on the partition counts.
+Nor is the permutation walk, ``_one_line_by_cycles``: it fills one one-line
+buffer level by level and undoes a level's arc before it tries the next
+value.  It cuts every prefix that cannot close into k cycles, so
+``gen_cycle_perms`` puts only the permutations it yields in cycle form.
+Only the nested forms and the min-set tally visit all of S_n, through
+``_all_cycle_perms``, and they too build an object only for a permutation
+they yield.
+
+``SetPartition`` and ``CyclePermutation`` share one validation body,
+``_Parts``, and ``LatticePath`` and ``Tiling`` another, ``_LevelWord``.
+Every generator builds what it yields through ``_trusted``, which skips the
+check its values pass by construction; every object a caller builds is
+checked.
 """
 
 from __future__ import annotations
@@ -121,7 +131,7 @@ class SetPartition(_Parts):
 
     def __str__(self) -> str:
         sep = "" if self.n <= 9 else ","
-        return "/".join(sep.join(str(e) for e in block) for block in self.blocks)
+        return "/".join([sep.join(map(str, block)) for block in self.blocks])
 
 
 def diff_vector(p: SetPartition) -> tuple[int, ...]:
@@ -186,30 +196,39 @@ def _rgs_placements(n: int, k: int, entry_ok, buf: list[int]) -> Iterator[range]
             i -= 1
 
 
-def _iter_rgs(n: int, k: int, entry_ok=None) -> Iterator[list[int]]:
-    # Restricted growth strings of the partitions of [n] into k blocks, in
-    # lexicographic order.  The yielded buffer is reused: copy before keeping.
-    if n < 1:
-        if n == k == 0:
-            yield []
-        return
-    buf = [0] * n
-    for placements in _rgs_placements(n, k, entry_ok or (lambda d: True), buf):
-        for b in placements:
-            buf[-1] = b
-            yield buf
-
-
-def _partition_from_rgs(w: Sequence[int]) -> SetPartition:
-    # A restricted-growth string gives sorted blocks ordered by their minima
-    # and holding 1..n once, so the object skips the check.
+def _blocks_from_rgs(w: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    # The blocks a restricted-growth string gives: sorted, ordered by their
+    # minima and holding 1..len(w) once.
     blocks: list[list[int]] = []
     for e, b in enumerate(w, start=1):
         if b == len(blocks):
             blocks.append([e])
         else:
             blocks[b].append(e)
-    return SetPartition._trusted(tuple(tuple(b) for b in blocks))
+    return tuple(map(tuple, blocks))
+
+
+def _partition_from_rgs(w: Sequence[int]) -> SetPartition:
+    # The blocks pass the check by construction, so the object skips it.
+    return SetPartition._trusted(_blocks_from_rgs(w))
+
+
+def _gen_partitions(n: int, k: int, entry_ok=None) -> Iterator[SetPartition]:
+    # The partitions of [n] into k blocks that the walk admits, in
+    # restricted-growth order.  The blocks of 1..n-1 are built once per
+    # prefix, and element n joins each block its placements allow; the empty
+    # block after them stands for the new one.
+    if n < 1:
+        if n == k == 0:
+            yield SetPartition._trusted(())
+        return
+    buf = [0] * n
+    trusted = SetPartition._trusted
+    for placements in _rgs_placements(n, k, entry_ok or (lambda d: True), buf):
+        head = _blocks_from_rgs(buf[:-1]) + ((),)
+        m = len(head) - 1
+        for b in placements:
+            yield trusted(head[:b] + (head[b] + (n,),) + head[b + 1 : m])
 
 
 def _check_nk(n: int, k: int):
@@ -237,12 +256,12 @@ def _bounded_rule(n_board: int, n_blocks: int, s_bound: int):
 def gen_set_partitions(n: int, k: int) -> Iterator[SetPartition]:
     """All partitions of [n] into k blocks, ordered by restricted-growth string."""
     _check_nk(n, k)
-    return map(_partition_from_rgs, _iter_rgs(n, k))
+    return _gen_partitions(n, k)
 
 
 def gen_partitions_mod(n: int, k: int, s: int) -> Iterator[SetPartition]:
     """Partitions of [n] into k blocks with every d_i congruent to 0 or 1 mod s+1."""
-    return map(_partition_from_rgs, _iter_rgs(n, k, _mod_rule(n, k, s, (0, 1))))
+    return _gen_partitions(n, k, _mod_rule(n, k, s, (0, 1)))
 
 
 def gen_partitions_bounded(
@@ -250,11 +269,11 @@ def gen_partitions_bounded(
 ) -> Iterator[SetPartition]:
     """Partitions of [n_board] into n_blocks blocks with every d_i <= s_bound."""
     entry_ok = _bounded_rule(n_board, n_blocks, s_bound)
-    return map(_partition_from_rgs, _iter_rgs(n_board, n_blocks, entry_ok))
+    return _gen_partitions(n_board, n_blocks, entry_ok)
 
 
 def _count_partitions_by_diffs(n: int, k: int, entry_ok) -> int:
-    # The walk of _iter_rgs (n >= k >= 1), one step per counted partition.
+    # The walk of _gen_partitions (n >= k >= 1), one step per counted partition.
     total = 0
     for placements in _rgs_placements(n, k, entry_ok, [0] * n):
         for _ in placements:
@@ -443,7 +462,7 @@ class CyclePermutation(_Parts):
         return tuple(image[e] for e in range(1, self.n + 1))
 
     def __str__(self) -> str:
-        return "".join("(" + " ".join(str(e) for e in c) + ")" for c in self.cycles)
+        return "".join(["(" + " ".join(map(str, c)) + ")" for c in self.cycles])
 
 
 def _cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -483,10 +502,68 @@ def _min_set(cycles: tuple[tuple[int, ...], ...]) -> frozenset[int]:
     return frozenset(c[0] for c in cycles)
 
 
+def _one_line_by_cycles(n: int, k: int) -> Iterator[list[int]]:
+    # The one-line forms of the permutations of [n] with k cycles, in lex
+    # order, as one reused buffer: a walk over one-line prefixes.  Placing
+    # perm[i] = v adds the arc i+1 -> v.  The arcs so far close c cycles and
+    # leave n-i-1 open paths (an untouched element is a path), which close
+    # into c+1..c+n-i-1 cycles, so a prefix outside that range of k is cut.
+    # head[e] is the first element of the path that ends at e and tail[h]
+    # the last of the one that starts at h; the arc closes a cycle when v is
+    # head[i+1], and else joins the two paths.  With two places left, the
+    # two free values close both paths in one order and one path in the
+    # other, and the cut leaves exactly one of the two.
+    if n < 2 or not 1 <= k <= n:
+        if k == n < 2:
+            yield list(range(1, n + 1))
+        return
+    perm = [0] * n  # perm[i] is 0 while level i has tried no value
+    free = [True] * (n + 1)
+    head = list(range(n + 1))
+    tail = list(range(n + 1))
+    closed = [0] * n  # cycles closed by perm[:i]
+    i, last = 0, n - 2
+    while i >= 0:
+        a = i + 1
+        h, c = head[a], closed[i]
+        if i == last:
+            x, y = [v for v in range(1, n + 1) if free[v]]
+            perm[i:] = (x, y) if (x == h) == (k == c + 2) else (y, x)
+            yield perm
+            i -= 1
+            continue
+        v = perm[i]
+        if v:  # undo the arc a -> v
+            free[v] = True
+            if v != h:
+                head[tail[v]], tail[h] = v, a
+        lo = k - (n - a)
+        open_ok, close_ok = lo <= c < k, lo <= c + 1 < k
+        for v in range(v + 1, n + 1):
+            if free[v] and (close_ok if v == h else open_ok):
+                break
+        else:
+            perm[i] = 0
+            i -= 1
+            continue
+        perm[i] = v
+        free[v] = False
+        if v != h:
+            t = tail[v]
+            head[t], tail[h] = h, t
+        i = a
+        closed[i] = c + (v == h)
+
+
 def gen_cycle_perms(n: int, k: int) -> Iterator[CyclePermutation]:
-    """All permutations of [n] with exactly k cycles, by one-line lex order."""
+    """All permutations of [n] with exactly k cycles, by one-line lex order.
+
+    Output-sensitive: the walk over one-line prefixes cuts every prefix
+    that cannot close into k cycles, so only the yielded permutations are
+    put in cycle form.
+    """
     _check_nk(n, k)
-    return (CyclePermutation._trusted(c) for c in _all_cycle_perms(n) if len(c) == k)
+    return map(CyclePermutation._trusted, map(_cycles, _one_line_by_cycles(n, k)))
 
 
 def _min_set_tally(n: int) -> Counter:

@@ -272,11 +272,15 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical (graded-lex descending) order."""
+        terms = self._terms
+        if len(terms) == 1:
+            return list(terms.items())
         # Trimmed monomials of equal degree can never be prefixes of one
-        # another, so the unpadded tuple comparison is graded lex.
-        return sorted(
-            self._terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True
-        )
+        # another, so the unpadded tuple order is lex within a degree; the
+        # stable sort by degree keeps it.
+        monos = sorted(terms, reverse=True)
+        monos.sort(key=sum, reverse=True)
+        return [(mono, terms[mono]) for mono in monos]
 
     def __str__(self) -> str:
         if not self._terms:
@@ -284,9 +288,7 @@ class Polynomial:
         parts = []
         for exps, coeff in self.sorted_terms():
             body = "*".join(
-                f"x{i + 1}^{a}" if a > 1 else f"x{i + 1}"
-                for i, a in enumerate(exps)
-                if a
+                [f"x{i}^{a}" if a > 1 else f"x{i}" for i, a in enumerate(exps, 1) if a]
             )
             if not body:
                 parts.append(str(coeff))

@@ -130,6 +130,13 @@ d857749ea5d8f4721c6ae5e1566dc8f8a29209bd436687429d7dd77f8fe9f389  eval --functio
 294b7f0653080828b377e0a39a3428955e06ea444b6be31f0726f39b9688ad12  eval --function Ml --s 3 --ell 0 --k 8 --vars=2,-1,3 --format json 
 59d3cc380e09f30e5493dfcf34903d2cf49862e86ce49ec704c3b4125aa38e95  eval --function Ml --s 5 --ell 3 --k 9 --vars=-5,4,1,-2 
 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865  eval --function Ml --s 2 --ell 1 --k 0 --vars 6 
+8c3415e1a1a600d42e890ae056d7c6f396b6e7d1e55e5d146e0e2e1ec3c9954a  enumerate --family partitions --n 10 --k 3
+a5a1ccac001aeadb5ed57bb41ee3ed045332d7c488713a9c1a2a6749d2784634  enumerate --family partitions --n 10 --k 3 --format json
+95550bc15006c38f9eb41c861d0d0a385fe7274b7aadd8f7ba7e9d80f487b315  enumerate --family perms --n 8 --k 6
+a28f2e2fe730be2fa4f0a6636573c86283743f2d3db71082387333d88af0e108  enumerate --family perms --n 8 --k 6 --format json
+5d5d064fa1ffba642ec537f69989c3c1a170f3c9a4cf03fe23f2e4ffef08e2df  enumerate --family partitions-bounded --board 11 --blocks 8 --s 1 --format json
+d1315d85eeb47bd16748b0a0d336a9bdae1ff744382fa9f9c517594fdc2227f5  eval --function h --k 11 --vars symbolic:2
+22188cb114563a559b7be1b2410df592c4e0491312ce7ce0a2627459de0f597a  eval --function e --k 2 --vars symbolic:12 --format json
 """.splitlines()]
 
 

@@ -243,9 +243,25 @@ def _reference_nested_count(n, k, s):
     return sum(w for (_, used), w in ways.items() if used == target)
 
 
+def _iter_rgs(n, k, entry_ok=None):
+    # The growth strings of the walk one at a time, as the generators read
+    # them before they built the blocks once per prefix; the reference for
+    # _gen_partitions.  The yielded buffer is reused: copy before keeping.
+    if n < 1:
+        if n == k == 0:
+            yield []
+        return
+    buf = [0] * n
+    ok = entry_ok or (lambda d: True)
+    for placements in enumeration._rgs_placements(n, k, ok, buf):
+        for b in placements:
+            buf[-1] = b
+            yield buf
+
+
 def _filtered_families(s):
     # (counter, generator, entry predicate) for each family defined at s;
-    # the all-zero-residue family has no public generator, so its strings
+    # the all-zero-residue family has no public generator, so its partitions
     # come from the walk itself
     step = s + 1
     zero = lambda d: d % step == 0
@@ -261,7 +277,7 @@ def _filtered_families(s):
             (count_partitions_mod, gen_partitions_mod, lambda d: d % step <= 1),
             (
                 count_partitions_zeromod,
-                lambda n, k, s: enumeration._iter_rgs(n, k, zero),
+                lambda n, k, s: enumeration._gen_partitions(n, k, zero),
                 zero,
             ),
         ]
@@ -448,13 +464,22 @@ class TestFilteredPartitionCounts:
     def test_generator_order_matches_the_unpruned_reference(self):
         for n in range(10):
             for k in range(n + 1):
-                assert [tuple(w) for w in enumeration._iter_rgs(n, k)] == list(
-                    _unpruned_rgs(n, k)
-                )
+                assert [tuple(w) for w in _iter_rgs(n, k)] == list(_unpruned_rgs(n, k))
                 for s in range(4):
                     for _, _, ok in _filtered_families(s):
-                        got = [tuple(w) for w in enumeration._iter_rgs(n, k, ok)]
+                        got = [tuple(w) for w in _iter_rgs(n, k, ok)]
                         assert got == list(_unpruned_rgs(n, k, ok)), (n, k, s)
+
+    def test_blocks_per_prefix_match_the_string_walk(self):
+        # element n joins the blocks of 1..n-1 built once per prefix; the
+        # reference builds every growth string's blocks from scratch
+        rules = [None] + [ok for _, _, ok in _filtered_families(2)]
+        for n in range(11):
+            for k in range(n + 1):
+                for ok in rules:
+                    got = list(enumeration._gen_partitions(n, k, ok))
+                    want = list(map(enumeration._partition_from_rgs, _iter_rgs(n, k, ok)))
+                    assert got == want, (n, k)
 
     def test_deep_counts_do_not_recurse(self):
         assert count_partitions_mod(1100, 1100, 1) == 1
@@ -775,6 +800,29 @@ class TestCyclePermutations:
             "(1)(2)(3)(4)(5)(6)(7)"
         ]
         assert len(built) == 1
+
+    def test_pruned_walk_matches_the_filtered_sweep(self):
+        # the old generator, the k-cycle slice of the whole S_n walk
+        for n in range(8):
+            for k in range(n + 1):
+                want = [c for c in enumeration._all_cycle_perms(n) if len(c) == k]
+                assert [cp.cycles for cp in gen_cycle_perms(n, k)] == want, (n, k)
+
+    def test_puts_only_the_yielded_permutations_in_cycle_form(self, monkeypatch):
+        # the identity of [12] is the one leaf of the walk; the old sweep
+        # put all 12! one-line forms in cycle form
+        calls = []
+        cycles = enumeration._cycles
+
+        def counted(perm):
+            calls.append(tuple(perm))
+            return cycles(perm)
+
+        monkeypatch.setattr(enumeration, "_cycles", counted)
+        assert [str(cp) for cp in gen_cycle_perms(12, 12)] == [
+            "(1)(2)(3)(4)(5)(6)(7)(8)(9)(10)(11)(12)"
+        ]
+        assert calls == [tuple(range(1, 13))]
 
     def test_generated_perms_skip_the_check_they_pass(self, monkeypatch):
         built = _recorded_checks(monkeypatch, CyclePermutation)

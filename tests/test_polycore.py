@@ -265,6 +265,64 @@ def test_sorted_terms_is_padded_grlex(p):
     assert [e for e, _ in p.sorted_terms()] == ref[::-1]
 
 
+def _genexpr_str(p):
+    # The renderer before its pieces were lists: terms sorted by a
+    # (degree, monomial) key, and each body joined from a generator.
+    if not p.terms:
+        return "0"
+    parts = []
+    for exps, coeff in _keyed_sorted_terms(p):
+        body = "*".join(
+            f"x{i + 1}^{a}" if a > 1 else f"x{i + 1}" for i, a in enumerate(exps) if a
+        )
+        if not body:
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append(body)
+        elif coeff == -1:
+            parts.append("-" + body)
+        else:
+            parts.append(f"{coeff}*{body}")
+    return " + ".join(parts)
+
+
+def _keyed_sorted_terms(p):
+    return sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
+
+
+# zero, constants, coefficients 1, -1 and others, and trimmed monomials of
+# several lengths, degrees and exponents past 9
+wide = st.dictionaries(
+    st.lists(st.integers(0, 12), max_size=6).map(tuple),
+    st.one_of(st.sampled_from([1, -1]), st.integers(-(10**12), 10**12)),
+    max_size=12,
+).map(Polynomial)
+
+
+@given(p=st.one_of(polys, wide))
+def test_renderer_matches_the_generator_form(p):
+    assert p.sorted_terms() == _keyed_sorted_terms(p)
+    assert str(p) == _genexpr_str(p)
+
+
+def test_renderer_cases():
+    for p in (
+        Polynomial.zero(),
+        Polynomial.constant(1),
+        Polynomial.constant(-1),
+        Polynomial.constant(-12),
+        X3,
+        -X3,
+        7 * X1 * X2 * X2 - X3 + 1,
+        Polynomial({(1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2): -3, (0, 11): 1, (12,): 5}),
+    ):
+        assert p.sorted_terms() == _keyed_sorted_terms(p)
+        assert str(p) == _genexpr_str(p)
+    # an exponent is printed, not walked: no table sized by it is built
+    assert str(Polynomial.monomial((10**9,))) == "x1^1000000000"
+    assert str(Polynomial.monomial((0, 10**9), -2)) == "-2*x2^1000000000"
+
+
 @given(a=polys, b=polys)
 def test_add_and_mul_commute(a, b):
     assert a + b == b + a
