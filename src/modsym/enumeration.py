@@ -37,10 +37,10 @@ or a list of frames (8-20%) it measured slower on the partition counts.
 Nor is the permutation walk, ``_one_line_by_cycles``: it fills one one-line
 buffer level by level and undoes a level's arc before it tries the next
 value.  It cuts every prefix that cannot close into k cycles, so
-``gen_cycle_perms`` puts only the permutations it yields in cycle form.
-Only the nested forms and the min-set tally visit all of S_n, through
-``_all_cycle_perms``, and they too build an object only for a permutation
-they yield.
+``gen_cycle_perms`` puts only the permutations it yields in cycle form, and
+the equal min-set count tallies the same k-cycle slice.  Only the nested
+forms visit all of S_n, through ``_all_cycle_perms``, and they too build an
+object only for a permutation they yield.
 
 ``SetPartition`` and ``CyclePermutation`` share one validation body,
 ``_Parts``, and ``LatticePath`` and ``Tiling`` another, ``_LevelWord``.
@@ -130,7 +130,7 @@ class SetPartition(_Parts):
         return tuple(owner[e] for e in range(1, self.n + 1))
 
     def __str__(self) -> str:
-        sep = "" if self.n <= 9 else ","
+        sep = "" if sum(map(len, self.blocks)) <= 9 else ","
         return "/".join([sep.join(map(str, block)) for block in self.blocks])
 
 
@@ -567,21 +567,20 @@ def gen_cycle_perms(n: int, k: int) -> Iterator[CyclePermutation]:
 
 
 def _min_set_tally(n: int) -> Counter:
-    # Multiplicity of each cycle-minima set over S_n.  A min-set holds one
-    # minimum per cycle, so the classes of size k are the k-cycle slice.
+    # Multiplicity of each cycle-minima set over S_n, for the nested count.
     return Counter(map(_min_set, _all_cycle_perms(n)))
 
 
 def count_equal_minset_tuples(n: int, k: int, s: int) -> int:
     """s-tuples of k-cycle permutations of [n] sharing one min-set.
 
-    Computed as the power sum of the min-set class sizes of the k-cycle
-    permutations.  The classes come from ``_min_set_tally(n)``, which maps
-    all n! permutations of [n] whatever k is.
+    Computed as the power sum of the min-set class sizes, tallied over the
+    walk that ``gen_cycle_perms`` reads: each k-cycle permutation, once.
     """
     _check_nk(n, k)
     _at_least("s", s, 1)
-    return sum(c**s for m, c in _min_set_tally(n).items() if len(m) == k)
+    tally = Counter(map(_min_set, map(_cycles, _one_line_by_cycles(n, k))))
+    return sum(c**s for c in tally.values())
 
 
 def _nested_target(n: int, k: int, s: int) -> int | None:

@@ -157,29 +157,6 @@ class VerifyReport:
         }
 
 
-@dataclass(frozen=True)
-class IdentityInfo:
-    """One catalog entry.  Equality, hash and repr read only its id, anchor,
-    grid parameters and note; the other fields run it: its cell grid, its
-    checker ``check(ctx, ranges, **cell)``, its two profiles' bounds and the
-    printed variant its reports carry, if any."""
-
-    id: str
-    anchor: str
-    parameters: tuple[str, ...]
-    grid: Callable[[Ranges], Iterable[dict]] = field(compare=False, repr=False)
-    check: Callable[..., tuple[object, object]] = field(compare=False, repr=False)
-    quick: Ranges = field(compare=False, repr=False)
-    full: Ranges = field(compare=False, repr=False)
-    note: str | None = None
-    erratum: _Erratum | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def has_errata(self) -> bool:
-        """Whether reports on this entry carry an erratum."""
-        return self.erratum is not None
-
-
 # ---------------------------------------------------------------------------
 # shared computation context (per verify or verify_all call; caches are
 # never global)
@@ -654,6 +631,33 @@ def _erratum_report(ident: IdentityInfo) -> dict:
 # catalog
 
 
+@dataclass(frozen=True)
+class IdentityInfo:
+    """One catalog entry.  Equality, hash and repr read only its id, anchor,
+    grid parameters and note; the other fields run it: its checker
+    ``check(ctx, ranges, **cell)``, its two profiles' bounds, its cell grid
+    and the printed variant its reports carry, if any.  A record names its
+    parameters and grid only where they differ from the (n, k, s) box with
+    n >= 1."""
+
+    id: str
+    anchor: str
+    check: Callable[..., tuple[object, object]] = field(compare=False, repr=False)
+    quick: Ranges = field(compare=False, repr=False)
+    full: Ranges = field(compare=False, repr=False)
+    parameters: tuple[str, ...] = ("n", "k", "s")
+    grid: Callable[[Ranges], Iterable[dict]] = field(
+        default=partial(_grid_nks, n_lo=1), compare=False, repr=False
+    )
+    note: str | None = None
+    erratum: _Erratum | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def has_errata(self) -> bool:
+        """Whether reports on this entry carry an erratum."""
+        return self.erratum is not None
+
+
 # keyed by each record's own id, in report order
 _CATALOG: dict[str, IdentityInfo] = {
     info.id: info
@@ -662,18 +666,15 @@ _CATALOG: dict[str, IdentityInfo] = {
             "GF_M",
             "series identity: sum_k M_k^(s)(n) t^k = "
             "prod_{i<=n} (1+x_i t)/(1-(x_i t)^(s+1))",
-            ("n", "k", "s"),
-            _grid_nks,
             _check_gf_m,
             Ranges(n_max=3, k_max=6, s_max=2),
             Ranges(n_max=5, k_max=10, s_max=3),
+            grid=_grid_nks,
         ),
         IdentityInfo(
             "REC3",
             "variable-count recurrence: M_k^(s)(n) = "
             "sum_{j=0,1 mod s+1} x_n^j M_{k-j}^(s)(n-1)",
-            ("n", "k", "s"),
-            lambda r: _grid_nks(r, n_lo=1),
             _check_rec3,
             Ranges(n_max=3, k_max=6, s_max=2),
             Ranges(n_max=8, k_max=8, s_max=4),
@@ -682,8 +683,6 @@ _CATALOG: dict[str, IdentityInfo] = {
             "REC4",
             "two-term peel for k >= s+1: M_k^(s)(n) = x_n^(s+1) "
             "M_{k-s-1}^(s)(n) + x_n M_{k-1}^(s)(n-1) + M_k^(s)(n-1)",
-            ("n", "k", "s"),
-            lambda r: _grid_nks(r, n_lo=1),
             _check_rec4,
             Ranges(n_max=3, k_max=6, s_max=2),
             Ranges(n_max=8, k_max=8, s_max=4),
@@ -691,8 +690,6 @@ _CATALOG: dict[str, IdentityInfo] = {
         IdentityInfo(
             "PATHS",
             "weight sum over admissible lattice paths equals M_k^(s)(n)",
-            ("n", "k", "s"),
-            lambda r: _grid_nks(r, n_lo=1),
             partial(_check_weight_sum, "gen_lattice_paths"),
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=4, k_max=8, s_max=3),
@@ -700,8 +697,6 @@ _CATALOG: dict[str, IdentityInfo] = {
         IdentityInfo(
             "TILINGS",
             "weight sum over admissible tilings equals M_k^(s)(n)",
-            ("n", "k", "s"),
-            lambda r: _grid_nks(r, n_lo=1),
             partial(_check_weight_sum, "gen_tilings"),
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=4, k_max=8, s_max=3),
@@ -710,8 +705,6 @@ _CATALOG: dict[str, IdentityInfo] = {
             "ALLONES",
             "all-ones evaluation: M_k^(s)(1..1) = "
             "sum_j C(n, k-j(s+1)) C(j+n-1, n-1)",
-            ("n", "k", "s"),
-            lambda r: _grid_nks(r, n_lo=1),
             _check_allones,
             Ranges(n_max=4, k_max=6, s_max=2),
             Ranges(n_max=6, k_max=12, s_max=4),
@@ -720,31 +713,29 @@ _CATALOG: dict[str, IdentityInfo] = {
             "S2MOD_SPEC",
             "triangle from specialization: {n,k}^(s) = M_{n-k}^(s)(1..k); "
             "polynomial-evaluation and recurrence routes agree",
-            ("n", "k", "s"),
-            _grid_triangle,
             _check_s2mod_spec,
             Ranges(n_max=8, s_max=2),
             Ranges(n_max=20, s_max=4),
+            grid=_grid_triangle,
         ),
         IdentityInfo(
             "S2MOD_REC",
             "triangle recurrence for n-k >= s+1: {n,k}^(s) = {n-1,k-1}^(s) "
             "+ k {n-2,k-1}^(s) + k^(s+1) {n-s-1,k}^(s)",
-            ("n", "k", "s"),
-            lambda r: _grid_triangle(r, k_lo=1),
             _check_s2mod_rec,
             Ranges(n_max=8, s_max=2),
             Ranges(n_max=20, s_max=4),
+            grid=lambda r: _grid_triangle(r, k_lo=1),
         ),
         IdentityInfo(
             "S2MOD_GF",
             "column series: sum_m {k+m,k}^(s) x^m = "
             "prod_{r<=k} (1+r x)/(1-(r x)^(s+1)), corrected numerator",
-            ("k", "s", "m"),
-            _grid_s2mod_gf,
             _check_s2mod_gf,
             Ranges(n_max=8, k_max=3, s_max=2),
             Ranges(n_max=20, k_max=6, s_max=4),
+            parameters=("k", "s", "m"),
+            grid=_grid_s2mod_gf,
             erratum=_Erratum(
                 "prod_{r=1..k} (1 + r*x^s) / (1 - (r*x)^(s+1))",
                 "prod_{r=1..k} (1 + r*x) / (1 - (r*x)^(s+1))",
@@ -764,52 +755,49 @@ _CATALOG: dict[str, IdentityInfo] = {
         IdentityInfo(
             "PART_MOD",
             "partitions with d_i = 0,1 mod s+1 are counted by {n,k}^(s)",
-            ("n", "k", "s"),
-            lambda r: _grid_triangle(r, k_lo=1),
             _check_part_mod,
             Ranges(n_max=6, s_max=2),
             Ranges(n_max=10, s_max=4),
+            grid=lambda r: _grid_triangle(r, k_lo=1),
         ),
         IdentityInfo(
             "PART_ZERO",
             "partitions with all d_i = 0 mod s+1 are counted by "
             "h_{(n-k)/(s+1)}(1^(s+1)..k^(s+1))",
-            ("n", "k", "s"),
-            lambda r: _grid_triangle(r, k_lo=1),
             _check_part_zero,
             Ranges(n_max=6, s_max=2),
             Ranges(n_max=10, s_max=4),
+            grid=lambda r: _grid_triangle(r, k_lo=1),
         ),
         IdentityInfo(
             "PS1",
             "first-kind expansion: {n+k,n}^(s) = sum_i "
             "h_{floor(k/(s+1))-i}(1^(s+1)..n^(s+1)) [n+1, n+1-r-i(s+1)], "
             "r = k mod s+1",
-            ("n", "k", "s"),
-            _grid_nks,
             _check_ps1,
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=5, k_max=10, s_max=4),
+            grid=_grid_nks,
         ),
         IdentityInfo(
             "FERMAT",
             "prime congruence: {n+k,n}^(p-1) = sum_i {n+floor(k/p)-i, n} "
             "[n+1, n+1-(r+ip)] mod p",
-            ("n", "k", "p"),
-            _grid_fermat,
             _check_fermat,
             Ranges(n_max=3, k_max=5, p_list=(2, 3)),
             Ranges(n_max=5, k_max=10, p_list=(2, 3, 5)),
+            parameters=("n", "k", "p"),
+            grid=_grid_fermat,
         ),
         IdentityInfo(
             "LMOD",
             "residue-ell expansion of M_k^(s,ell)(1..n) via h at powered "
             "points and level-ell first-kind brackets",
-            ("n", "k", "s", "ell"),
-            _grid_lmod,
             _check_lmod,
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=4, k_max=8, s_max=4),
+            parameters=("n", "k", "s", "ell"),
+            grid=_grid_lmod,
             note=(
                 "interpretation: the bracket factor is read as the "
                 "level-ell first-kind triangle (x^k coefficients of "
@@ -821,18 +809,15 @@ _CATALOG: dict[str, IdentityInfo] = {
             "EVANISH",
             "odd-s alternating convolution: "
             "sum_i (-1)^i E_i^(s) M_{k-i}^(s) = 0",
-            ("n", "k", "s"),
-            lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_evanish,
             Ranges(n_max=2, k_max=4, s_max=2),
             Ranges(n_max=3, k_max=6, s_max=4),
+            grid=lambda r: _grid_nks(r, n_lo=1, k_lo=1),
         ),
         IdentityInfo(
             "CONV_HE",
             "convolution route: M_k^(s) = sum_j h_j(x^(s+1)) e_{k-(s+1)j}, "
             "checked against direct enumeration",
-            ("n", "k", "s"),
-            lambda r: _grid_nks(r, n_lo=1),
             _check_conv_he,
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=8, k_max=8, s_max=4),
@@ -841,11 +826,10 @@ _CATALOG: dict[str, IdentityInfo] = {
             "INV_H",
             "inverse pair: h_k(x^(s+1)) = sum_j (-1)^j h_j "
             "M_{k(s+1)-j}^(s), corrected substitution power",
-            ("n", "k", "s"),
-            lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_inv_h,
             Ranges(n_max=2, k_max=3, s_max=2),
             Ranges(n_max=3, k_max=4, s_max=3),
+            grid=lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             erratum=_Erratum(
                 "h_k(x^s) = sum_j (-1)^j h_j M_{k(s+1)-j}^(s)",
                 "h_k(x^(s+1)) = sum_j (-1)^j h_j M_{k(s+1)-j}^(s)",
@@ -861,11 +845,10 @@ _CATALOG: dict[str, IdentityInfo] = {
             "INV_E",
             "inverse pair: e_k = sum_j (-1)^j e_j(x^(s+1)) "
             "M_{k-j(s+1)}^(s), corrected powered e-factor",
-            ("n", "k", "s"),
-            lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_inv_e,
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=3, k_max=7, s_max=3),
+            grid=lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             erratum=_Erratum(
                 "e_k = sum_j (-1)^j e_j M_{k-j(s+1)}^(s)",
                 "e_k = sum_j (-1)^j e_j(x^(s+1)) M_{k-j(s+1)}^(s)",
@@ -880,81 +863,74 @@ _CATALOG: dict[str, IdentityInfo] = {
             "INV_ZERO",
             "vanishing convolution: sum_j (-1)^j h_j M_{k-j}^(s) = 0 "
             "for k not divisible by s+1",
-            ("n", "k", "s"),
-            lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_inv_zero,
             Ranges(n_max=3, k_max=5, s_max=2),
             Ranges(n_max=3, k_max=7, s_max=3),
+            grid=lambda r: _grid_nks(r, n_lo=1, k_lo=1),
         ),
         IdentityInfo(
             "EH_ME",
             "full convolution match: sum_j e_j h_{k-j} = "
             "sum_j M_j^(s) E_{k-j}^(s)",
-            ("n", "k", "s"),
-            lambda r: _grid_nks(r, n_lo=1, k_lo=1),
             _check_eh_me,
             Ranges(n_max=2, k_max=4, s_max=2),
             Ranges(n_max=3, k_max=6, s_max=3),
+            grid=lambda r: _grid_nks(r, n_lo=1, k_lo=1),
         ),
         IdentityInfo(
             "S1MOD_DEF",
             "[n+1,k+1]^(s) equals the ((n)!)^s-scaled reciprocal "
             "evaluation of E_k^(s) and the mirrored E_{ns-k}^(s)(1..n)",
-            ("n", "k", "s"),
-            _grid_s1mod_def,
             _check_s1mod_def,
             Ranges(n_max=4, s_max=2),
             Ranges(n_max=6, s_max=3),
+            grid=_grid_s1mod_def,
         ),
         IdentityInfo(
             "S1MOD_REC",
             "order-s recurrence route for [n,k]^(s) agrees with the "
             "bounded-E specialization route",
-            ("n", "k", "s"),
-            _grid_s1mod_rec,
             _check_s1mod_rec,
             Ranges(n_max=5, s_max=2),
             Ranges(n_max=10, s_max=4),
+            grid=_grid_s1mod_rec,
         ),
         IdentityInfo(
             "S1MOD_PART",
             "partitions of a (n(s+1)-k)-board into n blocks with all "
             "d_i <= s are counted by [n+1,k+1]^(s)",
-            ("n", "k", "s", "board"),
-            _grid_s1mod_part,
             _check_s1mod_part,
             Ranges(n_max=3, s_max=2, board_max=8),
             Ranges(n_max=5, s_max=3, board_max=12),
+            parameters=("n", "k", "s", "board"),
+            grid=_grid_s1mod_part,
         ),
         IdentityInfo(
             "NESTED",
             "nested min-set tuples with k+s-1 total cycles are counted "
             "by [n,k]^(s)",
-            ("n", "k", "s"),
-            lambda r: _grid_s1mod_rec(r, nested=True),
             _check_nested,
             Ranges(n_max=3, s_max=2),
             Ranges(n_max=4, s_max=3),
+            grid=lambda r: _grid_s1mod_rec(r, nested=True),
         ),
         IdentityInfo(
             "HIGHER_REC",
             "equal min-set s-tuples of k-cycle permutations are counted "
             "by the level-s triangle [n,k]_s",
-            ("n", "k", "s"),
-            _grid_triangle,
             _check_higher_rec,
             Ranges(n_max=4, s_max=2),
             Ranges(n_max=5, s_max=3),
+            grid=_grid_triangle,
         ),
         IdentityInfo(
             "OMEGA",
             "x^k coefficients of x(x+1^s)(x+2^s)...(x+(n-1)^s) "
             "equal [n,k]_s",
-            ("n", "k", "s"),
-            _grid_triangle,
             _check_omega,
             Ranges(n_max=5, s_max=2),
             Ranges(n_max=10, s_max=3),
+            grid=_grid_triangle,
         ),
     )
 }

@@ -867,6 +867,16 @@ class TestMinSetTuples:
                     )
                     assert count == count_equal_minset_tuples(n, k, s)
 
+    def test_equal_minset_count_matches_the_filtered_tally(self):
+        # the count before it read the k-cycle walk: the min-sets of all of
+        # S_n tallied once, then the classes of size k kept
+        for n in range(9):
+            tally = Counter(map(enumeration._min_set, enumeration._all_cycle_perms(n)))
+            for k in range(n + 1):
+                for s in (1, 2, 3):
+                    want = sum(c**s for m, c in tally.items() if len(m) == k)
+                    assert count_equal_minset_tuples(n, k, s) == want, (n, k, s)
+
     def test_tally_classes_of_size_k_are_the_k_cycle_slice(self):
         for n in range(8):
             tally = enumeration._min_set_tally(n)

@@ -69,6 +69,16 @@ class TestCatalog:
         for bounds in (ident.quick, ident.full):
             assert list(next(iter(ident.grid(bounds)))) == names
 
+    @pytest.mark.parametrize("key", EXPECTED_IDS)
+    def test_parameters_name_the_grid_cells(self, key):
+        # the parameters are the keys of the cells that the grid yields,
+        # with S1MOD_PART's board bound after them
+        ident = identities._CATALOG[key]
+        board = ("board",) if key == "S1MOD_PART" else ()
+        for bounds in (ident.quick, ident.full):
+            cell = next(iter(ident.grid(bounds)))
+            assert ident.parameters == tuple(cell) + board
+
     def test_list_identities_returns_the_catalog_records(self):
         for info in list_identities():
             assert info is identities._CATALOG[info.id]
@@ -563,6 +573,15 @@ def _bump_index_tuples(build):
     return patched
 
 
+def _bump_one_line(walk):
+    # the first one-line form of [3] twice, whatever the cycle count
+    def patched(n, k):
+        for i, perm in enumerate(walk(n, k)):
+            yield from [perm] * (1 + (n == 3 and i == 0))
+
+    return patched
+
+
 def _bump_tally(tally):
     # one extra permutation of [3] in the least min-set of every tally
     def patched(n):
@@ -623,7 +642,7 @@ ROUTE_CORES = [
     ("PS1", symfun, "_series_product", _bump_series),
     ("LMOD", symfun, "_series_product", _bump_series),
     ("PART_ZERO", symfun, "_series_product", _bump_series),
-    ("HIGHER_REC", enumeration, "_min_set_tally", _bump_tally),
+    ("HIGHER_REC", enumeration, "_one_line_by_cycles", _bump_one_line),
     ("NESTED", enumeration, "_nested_walk", _bump_nested_walk),
     ("PATHS", enumeration, "_gen_step_strings", _bump_step_strings),
     ("TILINGS", enumeration, "_gen_step_strings", _bump_step_strings),
@@ -678,6 +697,7 @@ RULES = {
     enumeration: (
         "_rgs_placements", "_count_partitions_by_diffs", "_gen_step_strings",
         "_all_cycle_perms", "_min_set_tally", "_nested_walk",
+        "_one_line_by_cycles",
     ),
     polycore: ("_cauchy",),
 }
