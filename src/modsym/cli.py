@@ -8,7 +8,8 @@ parser once per process, on the first call, and reuses it for later calls.
 
 Exit status: 0 success, 1 verification failures present, 2 usage error (a
 bad flag, or a refusal: every refusal, the library's and the CLI's own, is a
-``ValueError`` that ``main`` alone turns into exit 2 with its message), 74 a
+``ValueError`` that ``main`` alone turns into exit 2 with its message, as it
+does an ``OverflowError``, a size too large to index a sequence), 74 a
 failed write, as to a full device (``EX_IOERR``; one line on stderr), 130
 interrupted by Ctrl-C (128 + SIGINT; nothing is printed to stderr), 141
 stdout closed by its reader before all output was written (128 + SIGPIPE, as
@@ -318,7 +319,7 @@ def main(argv=None) -> int:
         if args.command == "enumerate":
             return _cmd_enumerate(args)
         return _cmd_verify(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         parser.error(str(exc))
     except BrokenPipeError:
         # the reader closed stdout early, as `| head` does

@@ -95,40 +95,33 @@ def stirling1(n: int, k: int) -> int:
 def _point_sums(m: int, parts: Sequence[int], lo: int, hi: int) -> list[int]:
     # out[d], for lo <= d <= hi, is the sum of 1^{a_1}...m^{a_m} over the
     # compositions of d into m parts drawn from ``parts`` (ascending, from 0);
-    # entries below lo are 0.  ``walk`` lists the compositions of one half of
-    # the variables, head 1..h or tail h+1..m, with their products at the
-    # point.  A prefix that reaches hi is finished, since every later part
-    # must then be 0; a part after which the rest of its half, plus ``other``,
-    # the most the other half adds, can no longer reach lo is skipped.  The
-    # halves are paired by degree as the module docstring states, for each
-    # pair of degrees whose sum lands in [lo, hi].
+    # entries below lo are 0.  ``by_degree`` lists the products at the point
+    # of one half's compositions, head 1..h or tail h+1..m, by degree.  A
+    # stack entry (v, d, p) has parts for the variables before v, and is
+    # finished once v passes the last one or d reaches hi, since every later
+    # part must then be 0; a part after which the rest of its half, plus
+    # ``other``, the most the other half adds, can no longer reach lo is
+    # skipped.  The halves are paired by degree as the module docstring
+    # states, for each pair of degrees whose sum lands in [lo, hi].
     top = parts[-1]
     h = m - m // 2
 
-    def walk(first, last, other):
-        if first > last:
-            yield 0, 1
-            return
+    def by_degree(first, last, other):
+        lists: dict[int, list[int]] = {}
         stack = [(first, 0, 1)]
         while stack:
             v, deg, prod = stack.pop()
+            if v > last or deg == hi:
+                lists.setdefault(deg, []).append(prod)
+                continue
             # the least degree after variable v from which lo is reachable
             floor = lo - other - (last - v) * top
             for a in parts:
                 d = deg + a
                 if d > hi:
                     break
-                if d < floor:
-                    continue
-                if d == hi or v == last:
-                    yield d, prod * v**a
-                else:
+                if d >= floor:
                     stack.append((v + 1, d, prod * v**a))
-
-    def by_degree(first, last, other):
-        lists: dict[int, list[int]] = {}
-        for d, prod in walk(first, last, other):
-            lists.setdefault(d, []).append(prod)
         return sorted(lists.items())
 
     tails = by_degree(h + 1, m, h * top)

@@ -21,6 +21,8 @@ the M^(s,ell) rows (``_modular_rows``), the E^(s) product rows
 (``_bounded_rows``) and the product series (``_series_product``).  At
 integers they give values and build no polynomial: ``modsym eval`` reads a
 point through them, and ``stirling`` reads both modular triangles from them.
+Each rule pads no row and forms no power past the degree it returns (such a
+power stands as 0), so its work is bounded by that degree, not by s.
 
 All functions are pure.
 """
@@ -138,8 +140,9 @@ def _modular_rows(xs: Sequence, one, depth: int, s: int, total=None, ell=1):
     for j, x in enumerate(xs, 1):
         yield row
         prev, row = row, []
-        v, w = x**ell, x ** (s + 1)
         top = depth if total is None else min(depth, total - j)
+        v = x**ell if 0 < ell <= top else 0
+        w = x ** (s + 1) if s < top else 0
         for d in range(top + 1):
             m = prev[d]
             if 0 < ell <= d:
@@ -154,13 +157,14 @@ def _bounded_rows(xs, s: int, depth: int | None = None) -> Iterator[list]:
     # Row j, for j = 0, 1, ... over the values of xs, is [E_0^(s), ...,
     # E_js^(s)] of x_1..x_j, the coefficients of prod_{i<=j} sum_{t<=s}
     # (x_i u)^t, cut at u^depth when given (no cell at a negative depth):
-    # row j-1 plus x_j^t times row j-1 shifted by t, for t = 1..s.
+    # row j-1 plus x_j^t times row j-1 shifted by t, for t = 1..width, where
+    # width is s cut at the depth: a longer shift writes only cut cells.
+    width = s if depth is None else max(min(s, depth), 0)
     row = [1]
     for x in xs:
         yield row
-        new = row + [0] * s
-        # a shift past the depth writes only cells that are cut
-        for t in range(1, s + 1 if depth is None else min(s, depth) + 1):
+        new = row + [0] * width
+        for t in range(1, width + 1):
             p = x**t
             new[t : t + len(row)] = [a + p * b for a, b in zip(new[t:], row)]
         row = new if depth is None else new[: max(depth + 1, 0)]
@@ -210,7 +214,7 @@ def _series_product(xs: Sequence, s: int, bound: int, numerator: int = 1) -> lis
     # t^{b+numerator}, for each multiple b of s+1.
     out = [1] + [0] * bound
     for x in xs:
-        w = x ** (s + 1)
+        w = x ** (s + 1) if s < bound else 0
         factor = [0] * (bound + numerator + 1)
         p = 1
         for base in range(0, bound + 1, s + 1):

@@ -11,6 +11,7 @@ import re
 import signal
 import subprocess
 import sys
+import textwrap
 import threading
 from pathlib import Path
 
@@ -597,6 +598,48 @@ def _child_env():
     src = str(Path(modsym.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+class TestLargeS:
+    # each rule does no work past the degree it returns, so a huge s answers
+    # at once, as s = the degree does
+    S = "100000000000000000000"
+
+    def _run(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "modsym.cli", *argv],
+            capture_output=True, text=True, timeout=10, env=_child_env(),
+        )
+
+    @pytest.mark.parametrize("argv,value", [
+        ("eval --function E --k 3 --vars 2,2", "32"),
+        ("eval --function M --k 3 --vars 1,2", "0"),
+    ])
+    def test_eval_point(self, argv, value):
+        proc = self._run(*argv.split(), "--s", self.S)
+        assert (proc.returncode, proc.stdout) == (0, f"{value}\n")
+
+    def test_table_matches_s_at_the_degree(self):
+        argv = ("table", "--family", "stirling2mod", "--n-max", "20", "--s")
+        huge, small = self._run(*argv, self.S), self._run(*argv, "20")
+        assert huge.returncode == small.returncode == 0
+        assert huge.stdout == small.stdout
+
+    def test_library_calls_match_small_s(self):
+        code = textwrap.dedent("""
+            from modsym import modular_series, modular_sym
+            from modsym import stirling2_mod, stirling2_mod_series
+            S = 10**20
+            assert modular_sym(3, 2, S, "recurrence") == modular_sym(3, 2, 2, "recurrence")
+            assert modular_series(3, S, 2) == modular_series(3, 2, 2)
+            assert stirling2_mod(20, 15, S) == stirling2_mod(20, 15, 5)
+            assert stirling2_mod_series(5, S, 4) == stirling2_mod_series(5, 4, 4)
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=10, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestClosedStdout:

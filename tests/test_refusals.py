@@ -170,3 +170,23 @@ def test_cli_refusal_message(capsys, argv, message):
         main(argv.split())
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"modsym: error: {message}"
+
+
+# sizes too large to index a sequence: the interpreter's OverflowError, whose
+# text varies across versions, ends in exit 2 like any refusal
+_HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    f"eval --function M --k {_HUGE} --vars 1",
+    f"enumerate --family partitions --n {_HUGE} --k {_HUGE}",
+    f"enumerate --family perms --n {_HUGE} --k 1",
+    f"eval --function e --k {_HUGE} --vars symbolic:2",
+])
+def test_cli_unindexable_size_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("modsym: error: ")
+    assert "Traceback" not in err

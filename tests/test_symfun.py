@@ -338,6 +338,12 @@ class TestSharedRules:
                         _reference_bounded_rows(point, s, depth)
                     ), (point, s, depth)
 
+    def test_cut_rows_pad_no_cell_past_the_depth(self):
+        # a row is padded by s cut at the depth, not by s, so a huge s costs
+        # no more than s = depth
+        rows = list(symfun._bounded_rows(range(1, 5), 10**20, 3))
+        assert all(len(row) <= 4 for row in rows)
+
     def test_triangle_rows_stop_at_the_total_degree(self):
         rows = list(symfun._modular_rows(range(1, 6), 1, 5, 2, total=5))
         assert [len(row) for row in rows] == [6, 5, 4, 3, 2, 1]
